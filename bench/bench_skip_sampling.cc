@@ -1,7 +1,6 @@
-// Micro-benchmark for geometric-skip live-edge sampling (PR 4, extended in
-// PR 7 with the batched SIMD kernel): raw sampler draw throughput — per-edge
-// coins vs scalar geometric skips vs batched (AVX2-dispatched) skips over
-// the probability-grouped adjacency — on the three propagation models the
+// Micro-benchmark for geometric-skip live-edge sampling: raw sampler draw
+// throughput — per-edge coins vs geometric skips over the
+// probability-grouped adjacency — on the three propagation models the
 // paper evaluates: weighted cascade (WC), trivalency (TR), and a uniform
 // constant-p assignment. Each instance measures both traversal directions:
 // forward root-reachable draws (ReachableSampler, the Algorithm-2 inner
@@ -10,17 +9,15 @@
 // one JSON object on stdout so CI can archive the numbers and
 // tools/bench_trajectory.py can append them to the committed perf history.
 //
-// Acceptance targets (advisory CI checks):
-//   ISSUE 4: skip ≥ 2x per-edge draw throughput on the WC RR direction.
-//   ISSUE 7: batched ≥ 1.5x skip draw throughput on the WC RR direction at
-//            the default θ=2000, with no kernel regressing.
+// Acceptance targets (advisory CI checks): skip ≥ 2x per-edge draw
+// throughput on the WC RR direction, and ≥ 0.9x on the WC forward one.
 //
 // Environment knobs (defaults are the tiny synthetic config):
 //   VBLOCK_SKIP_BENCH_N       vertices              (default 8000)
 //   VBLOCK_SKIP_BENCH_M       directed edges        (default 400000)
 //   VBLOCK_SKIP_BENCH_THETA   draws per measurement (default 2000)
-//   VBLOCK_DRAW_ISA           =scalar forces the batched kernel's scalar
-//                             fallback (read by the library dispatch)
+//   VBLOCK_DRAW_ISA           =scalar forces the block-fill transform's
+//                             scalar fallback (read by the library dispatch)
 
 #include <cstdio>
 #include <string>
@@ -42,26 +39,20 @@ using namespace vblock;
 using vblock::bench::EnvOr;
 
 constexpr SamplerKind kKinds[] = {SamplerKind::kPerEdgeCoin,
-                                  SamplerKind::kGeometricSkip,
-                                  SamplerKind::kBatchedSkip};
-constexpr size_t kNumKinds = 3;
+                                  SamplerKind::kGeometricSkip};
+constexpr size_t kNumKinds = 2;
 
 struct DirectionResult {
-  // Indexed parallel to kKinds: per-edge coins, scalar skip, batched skip.
-  double seconds[kNumKinds] = {0, 0, 0};
+  // Indexed parallel to kKinds: per-edge coins, skip.
+  double seconds[kNumKinds] = {0, 0};
   // Mean sampled-region size per kind — the estimates the draws feed are
   // unbiased under every kind, so these must agree closely.
-  double mean_size[kNumKinds] = {0, 0, 0};
-  // skip vs per-edge (the PR 4 headline).
+  double mean_size[kNumKinds] = {0, 0};
+  // skip vs per-edge.
   double speedup = 0;
-  // batched vs per-edge, and the PR 7 headline: batched vs scalar skip.
-  double speedup_batched = 0;
-  double speedup_batched_vs_skip = 0;
 
   void FinishRatios() {
     speedup = seconds[1] > 0 ? seconds[0] / seconds[1] : 0;
-    speedup_batched = seconds[2] > 0 ? seconds[0] / seconds[2] : 0;
-    speedup_batched_vs_skip = seconds[2] > 0 ? seconds[1] / seconds[2] : 0;
   }
 };
 
@@ -135,13 +126,10 @@ void PrintDirection(const char* name, const DirectionResult& d,
                     const char* trailing_comma) {
   std::printf(
       "    \"%s\": {\"per_edge_seconds\": %.4f, \"skip_seconds\": %.4f, "
-      "\"batched_seconds\": %.4f, \"speedup\": %.2f, "
-      "\"speedup_batched\": %.2f, \"speedup_batched_vs_skip\": %.2f, "
-      "\"per_edge_mean_size\": %.2f, \"skip_mean_size\": %.2f, "
-      "\"batched_mean_size\": %.2f}%s\n",
-      name, d.seconds[0], d.seconds[1], d.seconds[2], d.speedup,
-      d.speedup_batched, d.speedup_batched_vs_skip, d.mean_size[0],
-      d.mean_size[1], d.mean_size[2], trailing_comma);
+      "\"speedup\": %.2f, \"per_edge_mean_size\": %.2f, "
+      "\"skip_mean_size\": %.2f}%s\n",
+      name, d.seconds[0], d.seconds[1], d.speedup, d.mean_size[0],
+      d.mean_size[1], trailing_comma);
 }
 
 }  // namespace

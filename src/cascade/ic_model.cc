@@ -29,11 +29,7 @@ VertexId IcSimulator::Run(const std::vector<VertexId>& seeds, Rng& rng,
         visited_epoch_[v] = epoch_;
         frontier_.push_back(v);
       };
-      if (kind_ == SamplerKind::kBatchedSkip) {
-        grouped_->SampleOutEdgesBatched(u, rng, on_live);
-      } else {
-        grouped_->SampleOutEdges(u, rng, on_live);
-      }
+      grouped_->SampleOutEdges(u, rng, on_live);
     } else {
       auto targets = graph_.OutNeighbors(u);
       auto probs = graph_.OutProbabilities(u);

@@ -26,11 +26,7 @@ void RrSetGenerator::Sample(VertexId target, Rng& rng,
         visit_epoch_[u] = epoch_;
         out->push_back(u);
       };
-      if (kind_ == SamplerKind::kBatchedSkip) {
-        grouped_->SampleInEdgesBatched(v, rng, on_live);
-      } else {
-        grouped_->SampleInEdges(v, rng, on_live);
-      }
+      grouped_->SampleInEdges(v, rng, on_live);
     } else {
       auto sources = graph_.InNeighbors(v);
       auto probs = graph_.InProbabilities(v);

@@ -9,13 +9,10 @@
 
 namespace vblock {
 
-void TriggeringModel::SampleTriggerSetGrouped(const Graph& g,
-                                              const ProbGroupedView& grouped,
-                                              VertexId v, Rng& rng,
-                                              std::vector<uint32_t>* out,
-                                              SamplerKind kind) const {
+void TriggeringModel::SampleTriggerSetGrouped(
+    const Graph& g, const ProbGroupedView& grouped, VertexId v, Rng& rng,
+    std::vector<uint32_t>* out) const {
   (void)grouped;
-  (void)kind;
   SampleTriggerSet(g, v, rng, out);
 }
 
@@ -27,20 +24,13 @@ void IcTriggeringModel::SampleTriggerSet(const Graph& g, VertexId v, Rng& rng,
   }
 }
 
-void IcTriggeringModel::SampleTriggerSetGrouped(const Graph& g,
-                                                const ProbGroupedView& grouped,
-                                                VertexId v, Rng& rng,
-                                                std::vector<uint32_t>* out,
-                                                SamplerKind kind) const {
+void IcTriggeringModel::SampleTriggerSetGrouped(
+    const Graph& g, const ProbGroupedView& grouped, VertexId v, Rng& rng,
+    std::vector<uint32_t>* out) const {
   (void)g;
-  auto on_live = [out](VertexId, uint32_t original_pos) {
+  grouped.SampleInEdges(v, rng, [out](VertexId, uint32_t original_pos) {
     out->push_back(original_pos);
-  };
-  if (kind == SamplerKind::kBatchedSkip) {
-    grouped.SampleInEdgesBatched(v, rng, on_live);
-  } else {
-    grouped.SampleInEdges(v, rng, on_live);
-  }
+  });
 }
 
 LtTriggeringModel::LtTriggeringModel(const Graph& g) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/sampler_kind.h"
 #include "graph/graph.h"
 #include "graph/vertex_mask.h"
 
@@ -42,16 +41,13 @@ class TriggeringModel {
   /// (graph/prob_grouped_view.h): same distribution over T(v), different
   /// RNG consumption, and indices may be appended in grouped rather than
   /// ascending order (T(v) is a set; consumers only test membership).
-  /// `kind` selects the grouped kernel — kGeometricSkip walks runs one
-  /// logarithm at a time, kBatchedSkip pulls block draws (its own cost
-  /// model and RNG consumption). The default ignores `grouped` and defers
-  /// to SampleTriggerSet — models whose draw is not per-edge Bernoulli
-  /// (e.g. LT's single roulette spin) gain nothing from grouping.
+  /// The default ignores `grouped` and defers to SampleTriggerSet — models
+  /// whose draw is not per-edge Bernoulli (e.g. LT's single roulette spin)
+  /// gain nothing from grouping.
   virtual void SampleTriggerSetGrouped(const Graph& g,
                                        const ProbGroupedView& grouped,
                                        VertexId v, Rng& rng,
-                                       std::vector<uint32_t>* out,
-                                       SamplerKind kind) const;
+                                       std::vector<uint32_t>* out) const;
 
   /// Human-readable name (diagnostics).
   virtual const char* name() const = 0;
@@ -68,8 +64,8 @@ class IcTriggeringModel : public TriggeringModel {
   /// Skip-samples v's grouped in-edges — under weighted cascade every
   /// in-edge of v shares p = 1/din(v), so this is a single geometric run.
   void SampleTriggerSetGrouped(const Graph& g, const ProbGroupedView& grouped,
-                               VertexId v, Rng& rng, std::vector<uint32_t>* out,
-                               SamplerKind kind) const override;
+                               VertexId v, Rng& rng,
+                               std::vector<uint32_t>* out) const override;
   const char* name() const override { return "IC"; }
 };
 

@@ -18,8 +18,8 @@ namespace vblock {
 /// differently, so for a fixed seed the two kinds visit different (equally
 /// valid, i.i.d.) sampled worlds. Within one kind all determinism
 /// guarantees hold unchanged: sample i always draws from stream
-/// MixSeed(seed, i), results are invariant to thread count, and a
-/// SamplePool build is bit-identical to the one-shot estimator.
+/// MixSeed(seed, i), results are invariant to thread count and draw ISA,
+/// and a SamplePool build is bit-identical to the one-shot estimator.
 enum class SamplerKind : uint8_t {
   /// One Bernoulli coin per examined edge (the textbook loop). Kept as the
   /// differential-testing reference and for workloads whose adjacency does
@@ -27,18 +27,12 @@ enum class SamplerKind : uint8_t {
   kPerEdgeCoin = 0,
   /// Geometric skip-ahead over the probability-grouped adjacency
   /// (graph/prob_grouped_view.h): within a run of identical-probability
-  /// edges, jump straight to the next live edge with one logarithm instead
-  /// of testing each edge. Expected per-vertex cost drops from O(degree)
-  /// to O(probability classes + successes).
+  /// edges, jump straight to the next live edge instead of testing each
+  /// edge. Each run draws by block fills of skips (sampling/batched_draw.h),
+  /// scalar jumps, or coins, whichever the build-time cost model picks.
+  /// Expected per-vertex cost drops from O(degree) to O(probability
+  /// classes + successes).
   kGeometricSkip = 1,
-  /// Geometric skip-ahead with block draws (sampling/batched_draw.h):
-  /// profitable runs pull whole blocks of skips from the stream and run
-  /// the log / multiply / floor transform 4-wide (AVX2 when the CPU has
-  /// it, bit-identical scalar fallback otherwise). Cheaper draws move the
-  /// geometric-vs-coin crossover, so this kind batches runs the scalar
-  /// skip kind leaves on per-edge coins. Draws are libm-free, making this
-  /// the one kind whose worlds are identical across platforms.
-  kBatchedSkip = 2,
 };
 
 }  // namespace vblock

@@ -93,17 +93,12 @@ void ProbGroupedView::GroupVertex(VertexId v,
     s->class_cursor[c] = cursor;
     cursor += s->class_count[c];
     const double p = classes_[c].probability;
-    const bool stochastic = p > 0.0 && p < 1.0;
-    const uint8_t geometric =
-        stochastic && RunPrefersGeometric(p, s->class_count[c]) ? 1 : 0;
-    const uint8_t geometric_batched =
-        stochastic && RunPrefersGeometricBatched(p, s->class_count[c]) ? 1 : 0;
+    const RunStrategy strategy = ChooseRunStrategy(p, s->class_count[c]);
     const uint16_t block =
-        geometric_batched
+        strategy == RunStrategy::kBlock
             ? static_cast<uint16_t>(DrawBlockFor(p, s->class_count[c]))
             : 0;
-    d->runs.push_back(Run{c, s->class_count[c], geometric, geometric_batched,
-                          block});
+    d->runs.push_back(Run{c, s->class_count[c], strategy, block});
   }
   for (uint32_t k = 0; k < degree; ++k) {
     const uint32_t slot = s->class_cursor[s->class_of[k]]++;
@@ -112,48 +107,27 @@ void ProbGroupedView::GroupVertex(VertexId v,
     d->probs[edge_cursor + slot] = probs[k];
   }
   // Pick the vertex's kernel strategy under the cost model: total run-walk
-  // cost (with each run already taking its cheapest branch) against one
-  // plain coin scan. Vertices whose grouping cannot pay — typical for WC
-  // out-edges, whose targets mostly have distinct in-degrees — keep the
-  // plain scan and cost exactly what the per-edge kind costs. The batched
-  // walk's fallback chain (block → scalar geometric → coins) shows up
-  // here too: a run the batched gate rejects costs the scalar-geometric
-  // figure, not a coin scan, when RunPrefersGeometric holds.
+  // cost (each run at its chosen strategy's cost) against one plain coin
+  // scan. Vertices whose grouping cannot pay — typical for WC out-edges,
+  // whose targets mostly have distinct in-degrees — keep the plain scan
+  // and cost exactly what the per-edge kind costs.
   double plain_cost = 0;
   double walk_cost = 0;
-  double walk_cost_batched = 0;
   for (uint32_t r = first_run; r < d->runs.size(); ++r) {
     const double p = classes_[d->runs[r].class_id].probability;
     const uint32_t length = d->runs[r].length;
     walk_cost += kRunOverheadCost;
-    walk_cost_batched += kRunOverheadCost;
     if (p <= 0.0) {
       plain_cost += kDegenerateEdgeCost * length;
     } else if (p >= 1.0) {
       plain_cost += kDegenerateEdgeCost * length;
       walk_cost += kDegenerateEdgeCost * length;
-      walk_cost_batched += kDegenerateEdgeCost * length;
     } else {
       plain_cost += length;
-      const double scalar_cost =
-          d->runs[r].geometric
-              ? (1.0 + length * p) * kGeometricDrawCostScalar
-              : static_cast<double>(length);
-      walk_cost += scalar_cost;
-      if (d->runs[r].geometric_batched) {
-        const double expected = 1.0 + length * p;
-        const double block = d->runs[r].block;
-        const double fills = expected <= block ? 1.0 : expected / block;
-        walk_cost_batched +=
-            fills * (block * kGeometricDrawCostBatched +
-                     kBlockFillOverheadCost);
-      } else {
-        walk_cost_batched += scalar_cost;
-      }
+      walk_cost += RunCost(p, length, d->runs[r].strategy);
     }
   }
   d->use_runs[v] = walk_cost < plain_cost ? 1 : 0;
-  d->use_runs_batched[v] = walk_cost_batched < plain_cost ? 1 : 0;
   d->offsets[v + 1] = edge_cursor + degree;
   // run_offsets is 32-bit (one run per edge worst case, and EdgeId is
   // 64-bit) — make the limit explicit rather than silently wrapping.
@@ -171,7 +145,6 @@ void ProbGroupedView::BuildDir(const Graph& g, bool out, Dir* d) {
   d->orig_pos.resize(m);
   d->probs.resize(m);
   d->use_runs.assign(n, 0);
-  d->use_runs_batched.assign(n, 0);
 
   // The class table is shared between directions: the out pass interns
   // every value, the in pass (seeded from classes_ below) finds them all
@@ -238,7 +211,6 @@ std::unique_ptr<ProbGroupedView> ProbGroupedView::DeltaPatched(
     d->orig_pos.resize(m);
     d->probs.resize(m);
     d->use_runs.assign(n, 0);
-    d->use_runs_batched.assign(n, 0);
 
     std::vector<uint8_t> is_changed(n, 0);
     for (VertexId v : changed) {
@@ -270,7 +242,6 @@ std::unique_ptr<ProbGroupedView> ProbGroupedView::DeltaPatched(
       d->runs.insert(d->runs.end(), old_dir.runs.begin() + old_dir.run_offsets[v],
                      old_dir.runs.begin() + old_dir.run_offsets[v + 1]);
       d->use_runs[v] = old_dir.use_runs[v];
-      d->use_runs_batched[v] = old_dir.use_runs_batched[v];
       d->offsets[v + 1] = dst + len;
       VBLOCK_CHECK_MSG(d->runs.size() <= UINT32_MAX,
                        "grouped view supports at most 2^32 probability runs");

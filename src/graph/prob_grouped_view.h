@@ -45,17 +45,21 @@ class ProbGroupedView {
     double inv_log1m = 0.0;
   };
 
+  /// How the kernels draw one run's live edges, baked at build time by
+  /// ChooseRunStrategy so the hot loop only switches on it.
+  enum class RunStrategy : uint8_t {
+    kCoins = 0,  // one Bernoulli coin per edge
+    kJump = 1,   // scalar geometric jumps, one NextGeometric per draw
+    kBlock = 2,  // block fills of `block` skips via FillGeometricSkips
+  };
+
   /// A maximal run of consecutive same-class edges of one vertex in the
-  /// grouped order. `geometric` / `geometric_batched` are the baked
-  /// build-time decisions of RunPrefersGeometric{,Batched} for this
-  /// (probability, length) — the kernels only test the flag — and `block`
-  /// is the precomputed FillGeometricSkips block size for the batched
-  /// walk (DrawBlockFor; 0 when the batched walk is off). Still 12 bytes.
+  /// grouped order. `block` is the run's DrawBlockFor size when the
+  /// strategy is kBlock, 0 otherwise. Still 12 bytes.
   struct Run {
     uint32_t class_id = 0;
     uint32_t length = 0;
-    uint8_t geometric = 0;
-    uint8_t geometric_batched = 0;
+    RunStrategy strategy = RunStrategy::kCoins;
     uint16_t block = 0;
 
     friend bool operator==(const Run&, const Run&) = default;
@@ -135,14 +139,14 @@ class ProbGroupedView {
 
   /// Draws an independent Bernoulli(p) coin for every out-edge of u and
   /// calls fn(target, original_pos) for each success, in grouped order.
-  /// Strategy per the cost model below: profitable runs advance by
-  /// geometric jumps (one log per live edge plus one per run), expensive
-  /// runs fall back to per-edge coins, and vertices whose grouping cannot
-  /// pay at all take one plain coin scan. Distribution is identical in
-  /// every case; only RNG consumption differs.
+  /// Each run takes the strategy the cost model below baked for it —
+  /// block fills of geometric skips (sampling/batched_draw.h), scalar
+  /// geometric jumps, or per-edge coins — and vertices whose grouping
+  /// cannot pay at all take one plain coin scan. The distribution is
+  /// identical in every case; only RNG consumption differs.
   template <typename Fn>
   void SampleOutEdges(VertexId u, Rng& rng, Fn&& fn) const {
-    SampleDir</*Batched=*/false>(out_, u, rng, fn);
+    SampleDir(out_, u, rng, fn);
   }
 
   /// In-edge twin of SampleOutEdges: fn(source, original_pos) per success.
@@ -150,32 +154,7 @@ class ProbGroupedView {
   /// under WC all of v's in-edges share one class.
   template <typename Fn>
   void SampleInEdges(VertexId v, Rng& rng, Fn&& fn) const {
-    SampleDir</*Batched=*/false>(in_, v, rng, fn);
-  }
-
-  /// SamplerKind::kBatchedSkip kernels: same distribution as the scalar
-  /// pair above, but profitable runs pull whole blocks of skips through
-  /// FillGeometricSkips (sampling/batched_draw.h) — one NextBlock refill
-  /// plus a 4-wide transform instead of one libm log per live edge. The
-  /// run/vertex decisions come from the *batched* cost model (cheaper
-  /// draws move the crossover), so these kernels batch runs the scalar
-  /// walk leaves on per-edge coins. Runs the batched model rejects (the
-  /// expected-draws gate below screens out tiny fills, where the per-fill
-  /// transform latency sits on the walk's critical path) fall back to the
-  /// scalar geometric walk when RunPrefersGeometric holds, then to
-  /// per-edge coins — so the batched kind is never slower than the scalar
-  /// kind on a run, it only ever upgrades. RNG consumption differs from
-  /// the scalar kernels wherever a run actually batches (whole blocks are
-  /// drawn and the tail past the run end is discarded), so for one seed
-  /// the two kinds visit different — equally valid, i.i.d. — worlds.
-  template <typename Fn>
-  void SampleOutEdgesBatched(VertexId u, Rng& rng, Fn&& fn) const {
-    SampleDir</*Batched=*/true>(out_, u, rng, fn);
-  }
-
-  template <typename Fn>
-  void SampleInEdgesBatched(VertexId v, Rng& rng, Fn&& fn) const {
-    SampleDir</*Batched=*/true>(in_, v, rng, fn);
+    SampleDir(in_, v, rng, fn);
   }
 
   // -- Sampling cost model ---------------------------------------------------
@@ -183,17 +162,17 @@ class ProbGroupedView {
   // Geometric jumps are not free: one draw costs a log(), several times a
   // plain coin. The kernels therefore pick, per run and per vertex, the
   // cheapest strategy under a small cost model (units: one Bernoulli coin),
-  // decided at build time so the hot loop only pays a flag test. The
+  // decided at build time so the hot loop only pays a switch. The
   // decisions are deterministic properties of the graph, so reproducibility
   // is untouched. The constants are *measured*, not guessed — see
   // docs/DESIGN.md §10 for the measurement protocol; tools/bench_trajectory
   // tracks them staying honest. Reference machine numbers: coin 2.1 ns,
-  // scalar NextGeometric 8.7 ns, batched draw 3.5 ns amortized at block 64.
+  // scalar NextGeometric 8.7 ns, block draw 3.5 ns amortized at block 64.
 
   /// Cost of one scalar NextGeometric draw (one libm log) in coin units.
   /// Measured: 8.7 ns / 2.0 ns ≈ 4.4, rounded to 4.5.
   static constexpr double kGeometricDrawCostScalar = 4.5;
-  /// Amortized cost of one batched draw — raw generation plus its share of
+  /// Amortized cost of one block draw — raw generation plus its share of
   /// the 4-wide log/multiply/floor transform — at block sizes >= 8.
   /// Measured with the AVX2 transform: 3.5 ns ≈ 1.7 coins, rounded up to
   /// 2.0 to cover partial-block fills. The scalar fallback is slower
@@ -209,16 +188,7 @@ class ProbGroupedView {
   /// Cost of an edge whose probability is 0 or 1 (no RNG, branch only).
   static constexpr double kDegenerateEdgeCost = 0.3;
 
-  /// True iff geometric jumps beat per-edge coins for a run of `length`
-  /// edges of probability `p` in (0,1): expected draws are 1 + length·p
-  /// (successes plus the final overshoot), each kGeometricDrawCostScalar
-  /// coins.
-  static constexpr bool RunPrefersGeometric(double p, uint32_t length) {
-    return (1.0 + static_cast<double>(length) * p) * kGeometricDrawCostScalar <
-           static_cast<double>(length);
-  }
-
-  /// FillGeometricSkips block size for a batched run: the expected draw
+  /// FillGeometricSkips block size for a kBlock run: the expected draw
   /// count 1 + length·p rounded up to a multiple of 4 (full SIMD lanes),
   /// clamped to kMaxDrawBlock — so one fill usually finishes the run and
   /// the discarded tail stays small. Pure function of (p, length): the
@@ -230,50 +200,62 @@ class ProbGroupedView {
     return (static_cast<uint32_t>(expected) + 4u) & ~3u;
   }
 
-  /// Minimum expected draws 1 + length·p for a run to qualify for the
-  /// batched walk at all. The throughput constants above model a *full
-  /// pipeline* of fills; a run that expects only a couple of draws puts
-  /// the fill's transform latency (~15 ns: NextBlock + the 4-wide
-  /// log/multiply/floor) squarely on the walk's critical path, where the
-  /// amortized 2.0-coin figure is a fiction. PR 7 measured exactly that
-  /// mis-selection: 0.70× *loss* vs the scalar skip walk on WC-RR, whose
-  /// in-runs expect 1 + din·(1/din) = 2 draws regardless of degree. Runs
-  /// under this bar fall back to the scalar geometric walk (or coins) —
-  /// see SampleOutEdgesBatched.
+  /// Minimum expected draws 1 + length·p for a run to block-fill at all.
+  /// The throughput constants above model a *full pipeline* of fills; a
+  /// run that expects only a couple of draws puts the fill's transform
+  /// latency (~15 ns: NextBlock + the 4-wide log/multiply/floor) squarely
+  /// on the walk's critical path, where the amortized 2.0-coin figure is a
+  /// fiction. Measured: block-filling WC-RR in-runs, which expect
+  /// 1 + din·(1/din) = 2 draws regardless of degree, ran at 0.70× the
+  /// scalar jump walk. Runs under this bar jump or coin instead.
   static constexpr double kMinExpectedDrawsBatched = 8.0;
 
-  /// Batched-kernel twin of RunPrefersGeometric. Every fill transforms a
-  /// whole block (draws past the run's end are discarded), so the cost is
-  /// blocks · (block·draw + fill overhead) — a *different* crossover than
-  /// the scalar walk: cheaper per draw, but block-granular. Long runs that
-  /// the scalar model leaves on coins (e.g. length 64 at p = 0.25) clear
-  /// this bar; runs expecting fewer than kMinExpectedDrawsBatched draws
-  /// never do, whatever the throughput arithmetic says (the constants
-  /// assume the fill latency amortizes, which tiny fills cannot).
-  static constexpr bool RunPrefersGeometricBatched(double p, uint32_t length) {
+  /// Modeled cost, in coins, of drawing a run of `length` edges of
+  /// probability `p` in (0,1) with strategy `s`. A jump walk expects
+  /// 1 + length·p draws (successes plus the final overshoot); a block walk
+  /// transforms whole blocks (draws past the run's end are discarded), so
+  /// it pays blocks · (block·draw + fill overhead).
+  static constexpr double RunCost(double p, uint32_t length, RunStrategy s) {
     const double expected = 1.0 + static_cast<double>(length) * p;
-    if (expected < kMinExpectedDrawsBatched) return false;
-    const double block = static_cast<double>(DrawBlockFor(p, length));
-    const double fills = expected <= block ? 1.0 : expected / block;
-    const double cost =
-        fills * (block * kGeometricDrawCostBatched + kBlockFillOverheadCost);
-    return cost < static_cast<double>(length);
+    switch (s) {
+      case RunStrategy::kJump:
+        return expected * kGeometricDrawCostScalar;
+      case RunStrategy::kBlock: {
+        const double block = static_cast<double>(DrawBlockFor(p, length));
+        const double fills = expected <= block ? 1.0 : expected / block;
+        return fills *
+               (block * kGeometricDrawCostBatched + kBlockFillOverheadCost);
+      }
+      case RunStrategy::kCoins:
+        break;
+    }
+    return static_cast<double>(length);
+  }
+
+  /// The per-run strategy: block fills when they beat coins and the run
+  /// clears the expected-draws gate, else scalar jumps when they beat
+  /// coins, else coins. Degenerate runs (p <= 0 or p >= 1) draw no
+  /// randomness and report kCoins.
+  static constexpr RunStrategy ChooseRunStrategy(double p, uint32_t length) {
+    if (!(p > 0.0 && p < 1.0)) return RunStrategy::kCoins;
+    const double coins = static_cast<double>(length);
+    if (1.0 + coins * p >= kMinExpectedDrawsBatched &&
+        RunCost(p, length, RunStrategy::kBlock) < coins) {
+      return RunStrategy::kBlock;
+    }
+    if (RunCost(p, length, RunStrategy::kJump) < coins) {
+      return RunStrategy::kJump;
+    }
+    return RunStrategy::kCoins;
   }
 
   /// True iff the kernel walks u's out-edge (resp. v's in-edge) runs;
   /// false means the grouping cannot beat a plain coin scan there (e.g. WC
   /// out-edges toward targets of mostly-distinct in-degrees) and the kernel
   /// samples the grouped arrays edge by edge at exactly the per-edge
-  /// kind's cost. Exposed for tests and diagnostics. The *Batched variants
-  /// answer for the batched kernels' own cost model.
+  /// kind's cost. Exposed for tests and diagnostics.
   bool OutUsesRunWalk(VertexId u) const { return out_.use_runs[u] != 0; }
   bool InUsesRunWalk(VertexId v) const { return in_.use_runs[v] != 0; }
-  bool OutUsesRunWalkBatched(VertexId u) const {
-    return out_.use_runs_batched[u] != 0;
-  }
-  bool InUsesRunWalkBatched(VertexId v) const {
-    return in_.use_runs_batched[v] != 0;
-  }
 
   /// Heap bytes held by the grouped arrays (capacity-based) — roughly 2×
   /// the source CSR. Feeds the service layer's byte accounting.
@@ -288,8 +270,7 @@ class ProbGroupedView {
              static_cast<uint64_t>(d.orig_pos.capacity()) *
                  sizeof(uint32_t) +
              static_cast<uint64_t>(d.probs.capacity()) * sizeof(double) +
-             static_cast<uint64_t>(d.use_runs.capacity()) +
-             static_cast<uint64_t>(d.use_runs_batched.capacity());
+             static_cast<uint64_t>(d.use_runs.capacity());
     };
     return dir_bytes(out_) + dir_bytes(in_) +
            static_cast<uint64_t>(classes_.capacity()) * sizeof(ProbClass);
@@ -304,7 +285,6 @@ class ProbGroupedView {
     std::vector<uint32_t> orig_pos;     // size m, grouped -> original pos
     std::vector<double> probs;          // size m, grouped order
     std::vector<uint8_t> use_runs;      // n: some run beats a plain scan
-    std::vector<uint8_t> use_runs_batched;  // n: same, batched cost model
   };
 
   std::span<const VertexId> Neighbors(const Dir& d, VertexId v) const {
@@ -333,9 +313,9 @@ class ProbGroupedView {
     return 0.0;
   }
 
-  template <bool Batched, typename Fn>
+  template <typename Fn>
   void SampleDir(const Dir& d, VertexId v, Rng& rng, Fn&& fn) const {
-    if (!(Batched ? d.use_runs_batched[v] : d.use_runs[v])) {
+    if (!d.use_runs[v]) {
       // Degenerate grouping: a plain coin scan is optimal, and reading the
       // grouped probs array makes it exactly as cheap as the per-edge kind.
       for (EdgeId e = d.offsets[v]; e < d.offsets[v + 1]; ++e) {
@@ -352,13 +332,12 @@ class ProbGroupedView {
           fn(d.neighbors[slot + k], d.orig_pos[slot + k]);
         }
       } else if (cls.probability > 0.0) {
-        if (Batched && run.geometric_batched) {
-          // Block walk: pull `run.block` skips per fill, emit the live
-          // edges they land on, refill if the run is not exhausted.
-          // Skips left in the block past the run's end are *discarded* —
-          // each fill consumes exactly run.block raw outputs, so total
-          // consumption is a pure function of the drawn values and the
-          // within-kind determinism guarantees hold.
+        if (run.strategy == RunStrategy::kBlock) {
+          // Pull `run.block` skips per fill, emit the live edges they land
+          // on, refill if the run is not exhausted. Skips left in the block
+          // past the run's end are *discarded* — each fill consumes exactly
+          // run.block raw outputs, so total consumption is a pure function
+          // of the drawn values.
           uint64_t skips[kMaxDrawBlock];
           uint64_t pos = 0;
           uint64_t gap = 0;  // 0 before the first draw, 1 after
@@ -374,10 +353,7 @@ class ProbGroupedView {
               fn(d.neighbors[slot + pos], d.orig_pos[slot + pos]);
             }
           }
-        } else if (run.geometric) {
-          // Scalar geometric walk — the batched kernel lands here too when
-          // the expected-draws gate rejects batching for this run, so the
-          // batched kind never does worse than the scalar kind on a run.
+        } else if (run.strategy == RunStrategy::kJump) {
           for (uint64_t pos = rng.NextGeometric(cls.inv_log1m);
                pos < run.length;
                pos += 1 + rng.NextGeometric(cls.inv_log1m)) {

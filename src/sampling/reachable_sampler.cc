@@ -48,11 +48,7 @@ void ReachableSampler::Sample(Rng& rng, SampledGraph* out) {
         if (blocked_ && blocked_->Test(v)) return;
         take(v);
       };
-      if (kind_ == SamplerKind::kBatchedSkip) {
-        grouped_->SampleOutEdgesBatched(u, rng, on_live);
-      } else {
-        grouped_->SampleOutEdges(u, rng, on_live);
-      }
+      grouped_->SampleOutEdges(u, rng, on_live);
     } else {
       auto targets = graph_.OutNeighbors(u);
       auto probs = graph_.OutProbabilities(u);

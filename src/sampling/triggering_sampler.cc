@@ -12,7 +12,6 @@ TriggeringSampler::TriggeringSampler(const Graph& g,
       model_(model),
       root_(root),
       blocked_(blocked),
-      kind_(kind),
       local_id_(g.NumVertices(), 0),
       visit_epoch_(g.NumVertices(), 0),
       trigger_epoch_(g.NumVertices(), 0),
@@ -21,7 +20,7 @@ TriggeringSampler::TriggeringSampler(const Graph& g,
   VBLOCK_CHECK_MSG(root < g.NumVertices(), "root out of range");
   // Only pay for (and hold) the grouped view when the model can use it —
   // LT's single roulette spin gains nothing from grouping.
-  if (kind_ != SamplerKind::kPerEdgeCoin && model.HasGroupedFastPath()) {
+  if (kind != SamplerKind::kPerEdgeCoin && model.HasGroupedFastPath()) {
     grouped_ = &g.GroupedView();
   }
 }
@@ -31,8 +30,7 @@ bool TriggeringSampler::EdgeLive(VertexId u, VertexId v, Rng& rng) {
     trigger_epoch_[v] = epoch_;
     scratch_.clear();
     if (grouped_ != nullptr) {
-      model_.SampleTriggerSetGrouped(graph_, *grouped_, v, rng, &scratch_,
-                                     kind_);
+      model_.SampleTriggerSetGrouped(graph_, *grouped_, v, rng, &scratch_);
     } else {
       model_.SampleTriggerSet(graph_, v, rng, &scratch_);
     }

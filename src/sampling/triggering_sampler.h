@@ -41,7 +41,6 @@ class TriggeringSampler {
   const TriggeringModel& model_;
   VertexId root_;
   const VertexMask* blocked_;
-  SamplerKind kind_;
   // Set iff kGeometricSkip AND the model has a grouped fast path.
   const ProbGroupedView* grouped_ = nullptr;
 

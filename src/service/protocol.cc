@@ -102,7 +102,6 @@ bool ParseSampler(std::string_view token, SamplerKind* out) {
   const std::string name = Upper(token);
   if (name == "COIN") *out = SamplerKind::kPerEdgeCoin;
   else if (name == "SKIP") *out = SamplerKind::kGeometricSkip;
-  else if (name == "BATCH") *out = SamplerKind::kBatchedSkip;
   else return false;
   return true;
 }
@@ -260,7 +259,7 @@ Result<Command> ParseSolve(const std::vector<std::string_view>& fields) {
     } else if (flag == "SAMPLER") {
       SamplerKind kind;
       if (!ParseSampler(*value, &kind)) {
-        return SyntaxError("SAMPLER must be coin, skip, or batch");
+        return SyntaxError("SAMPLER must be coin or skip");
       }
       cmd.request.query.sampler_kind = kind;
     } else if (flag == "RELABEL") {
@@ -332,7 +331,7 @@ Result<Command> ParseEval(const std::vector<std::string_view>& fields) {
       cmd.eval.seed = n64;
     } else if (flag == "SAMPLER") {
       if (!ParseSampler(*value, &cmd.eval.sampler_kind)) {
-        return SyntaxError("SAMPLER must be coin, skip, or batch");
+        return SyntaxError("SAMPLER must be coin or skip");
       }
     } else {
       return SyntaxError("unknown EVAL flag '" + std::string(fields[i - 1]) +
@@ -450,7 +449,6 @@ const char* SamplerToken(SamplerKind kind) {
   switch (kind) {
     case SamplerKind::kPerEdgeCoin: return "coin";
     case SamplerKind::kGeometricSkip: return "skip";
-    case SamplerKind::kBatchedSkip: return "batch";
   }
   return "skip";
 }

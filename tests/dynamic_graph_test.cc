@@ -296,8 +296,6 @@ void ExpectViewsIdentical(const ProbGroupedView& a, const ProbGroupedView& b,
     }
     EXPECT_EQ(a.OutUsesRunWalk(v), b.OutUsesRunWalk(v));
     EXPECT_EQ(a.InUsesRunWalk(v), b.InUsesRunWalk(v));
-    EXPECT_EQ(a.OutUsesRunWalkBatched(v), b.OutUsesRunWalkBatched(v));
-    EXPECT_EQ(a.InUsesRunWalkBatched(v), b.InUsesRunWalkBatched(v));
   }
 }
 

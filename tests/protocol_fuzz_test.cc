@@ -102,10 +102,9 @@ Command RandomCommand(Rng& rng) {
                                              : SampleReuse::kResample;
       }
       if (rng.NextBernoulli(0.7)) {
-        const SamplerKind kinds[] = {SamplerKind::kPerEdgeCoin,
-                                     SamplerKind::kGeometricSkip,
-                                     SamplerKind::kBatchedSkip};
-        cmd.request.query.sampler_kind = kinds[rng.NextBounded(3)];
+        cmd.request.query.sampler_kind = rng.NextBernoulli(0.5)
+                                             ? SamplerKind::kPerEdgeCoin
+                                             : SamplerKind::kGeometricSkip;
       }
       if (rng.NextBernoulli(0.7)) {
         const VertexOrder orders[] = {VertexOrder::kOriginal,
@@ -129,12 +128,9 @@ Command RandomCommand(Rng& rng) {
       if (rng.NextBernoulli(0.7)) cmd.blockers = RandomVertices(rng);
       cmd.eval.mc_rounds = static_cast<uint32_t>(rng.NextBounded(100000));
       cmd.eval.seed = rng();
-      {
-        const SamplerKind kinds[] = {SamplerKind::kPerEdgeCoin,
-                                     SamplerKind::kGeometricSkip,
-                                     SamplerKind::kBatchedSkip};
-        cmd.eval.sampler_kind = kinds[rng.NextBounded(3)];
-      }
+      cmd.eval.sampler_kind = rng.NextBernoulli(0.5)
+                                  ? SamplerKind::kPerEdgeCoin
+                                  : SamplerKind::kGeometricSkip;
       break;
     }
     case 4:

@@ -247,27 +247,22 @@ TEST(RelabelRoundTripTest, SolversReturnIdenticalOriginalIdBlockers) {
   for (Algorithm algorithm :
        {Algorithm::kAdvancedGreedy, Algorithm::kGreedyReplace}) {
     for (SampleReuse reuse : {SampleReuse::kPrune, SampleReuse::kResample}) {
-      for (SamplerKind kind :
-           {SamplerKind::kGeometricSkip, SamplerKind::kBatchedSkip}) {
-        for (VertexOrder order : kAllOrders) {
-          SolverOptions opts;
-          opts.algorithm = algorithm;
-          opts.budget = 2;
-          opts.theta = 200;
-          opts.seed = 7;
-          opts.sample_reuse = reuse;
-          opts.sampler_kind = kind;
-          opts.vertex_order = order;
-          auto result = SolveImin(g, seeds, opts);
-          ASSERT_TRUE(result.ok());
-          std::vector<VertexId> blockers = result->blockers;
-          std::sort(blockers.begin(), blockers.end());
-          EXPECT_EQ(blockers, (std::vector<VertexId>{2, 3}))
-              << AlgorithmName(algorithm) << " order="
-              << static_cast<int>(order) << " reuse="
-              << static_cast<int>(reuse) << " kind="
-              << static_cast<int>(kind);
-        }
+      for (VertexOrder order : kAllOrders) {
+        SolverOptions opts;
+        opts.algorithm = algorithm;
+        opts.budget = 2;
+        opts.theta = 200;
+        opts.seed = 7;
+        opts.sample_reuse = reuse;
+        opts.vertex_order = order;
+        auto result = SolveImin(g, seeds, opts);
+        ASSERT_TRUE(result.ok());
+        std::vector<VertexId> blockers = result->blockers;
+        std::sort(blockers.begin(), blockers.end());
+        EXPECT_EQ(blockers, (std::vector<VertexId>{2, 3}))
+            << AlgorithmName(algorithm) << " order="
+            << static_cast<int>(order) << " reuse="
+            << static_cast<int>(reuse);
       }
     }
   }

@@ -2,8 +2,8 @@
 //
 // Regression tests for the stdin REPL's shutdown contract (RunRepl):
 // EOF mid-line executes the final command and still flushes its reply,
-// QUIT stops the loop, echo mode prefixes commands, and the exit code
-// distinguishes clean EOF from stream failure.
+// QUIT stops the loop, echo mode prefixes commands, the exit code
+// distinguishes clean EOF from stream failure, and retired tokens get ERR.
 
 #include <gtest/gtest.h>
 
@@ -93,6 +93,21 @@ TEST(RunReplTest, ErrorResponsesStillCountAsCleanExit) {
             std::string::npos);
   EXPECT_NE(text.find("ERR NotFound no graph named 'missing'\n"),
             std::string::npos);
+}
+
+TEST(RunReplTest, SamplerBatchIsRejectedOnSolveAndEval) {
+  // `batch` named a second skip kind that no longer exists; both commands
+  // that take SAMPLER must refuse it at parse time, before any graph
+  // lookup.
+  std::istringstream in(
+      "SOLVE g SEEDS 1 SAMPLER batch\n"
+      "EVAL g SEEDS 1 BLOCKERS - SAMPLER batch\n");
+  std::ostringstream out;
+  ServiceSession session(FastOptions());
+  EXPECT_EQ(RunRepl(in, out, &session), 0);
+  EXPECT_EQ(out.str(),
+            "ERR InvalidArgument SAMPLER must be coin or skip\n"
+            "ERR InvalidArgument SAMPLER must be coin or skip\n");
 }
 
 }  // namespace

@@ -414,9 +414,9 @@ TEST(QueryServiceTest, MigrateEpochCarriesWarmPoolsBitExact) {
   const std::vector<VertexId> seeds = {5, 12};
   const GraphDelta delta = StableProbSwap(before->graph, seeds);
 
-  // One pool per sampler kind (the sampler is part of the cache key):
-  // per-edge coin ignores the grouped view; the two skip kernels exercise
-  // the DeltaPatched path. Reuse modes vary to cover both re-derivations.
+  // One pool per combo (sampler and reuse are part of the cache key):
+  // per-edge coin ignores the grouped view; the two skip pools exercise
+  // the DeltaPatched path under both re-derivations.
   struct Combo {
     SamplerKind sampler;
     SampleReuse reuse;
@@ -427,7 +427,7 @@ TEST(QueryServiceTest, MigrateEpochCarriesWarmPoolsBitExact) {
        Algorithm::kAdvancedGreedy},
       {SamplerKind::kGeometricSkip, SampleReuse::kResample,
        Algorithm::kGreedyReplace},
-      {SamplerKind::kBatchedSkip, SampleReuse::kPrune,
+      {SamplerKind::kGeometricSkip, SampleReuse::kPrune,
        Algorithm::kAdvancedGreedy},
   };
   auto make_request = [&](const Combo& combo) {

@@ -1,14 +1,14 @@
 // Tests for geometric-skip live-edge sampling over the probability-grouped
-// adjacency (PR 4): grouped-view round-trip (the per-vertex permutation
-// restores the original edge order and preserves every probability
-// bit-for-bit), exact subset-distribution agreement of skip vs per-edge
-// sampling on fan-out gadgets (chi-square bound against the closed form),
-// pool ≡ one-shot bit-exactness and thread-count invariance under
-// kGeometricSkip, allocation-free steady-state sampling, and a statistical
-// cross-check that blocked-spread estimates under both kinds agree within
-// 2% on a WC-model generator graph. Also covers this PR's satellites:
-// EstimateSpread / EstimateActivationProbabilities thread-count
-// bit-invariance on the thread pool, and the parallel flat-buffer Brandes.
+// adjacency: grouped-view round-trip (the per-vertex permutation restores
+// the original edge order and preserves every probability bit-for-bit),
+// subset-distribution checks on fan-out gadgets (chi-square bound against
+// the closed form), pool ≡ one-shot bit-exactness, thread-count invariance
+// and pinned default worlds under kGeometricSkip, allocation-free
+// steady-state sampling, and a statistical cross-check that blocked-spread
+// estimates under both kinds agree within 2% on a WC-model generator
+// graph. Also covers EstimateSpread / EstimateActivationProbabilities
+// thread-count bit-invariance on the thread pool, and the parallel
+// flat-buffer Brandes.
 
 #include <gtest/gtest.h>
 
@@ -27,11 +27,13 @@
 #include "core/greedy_replace.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
+#include "gen/dataset_catalog.h"
 #include "gen/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/prob_grouped_view.h"
 #include "prob/probability_models.h"
 #include "sampling/reachable_sampler.h"
+#include "sampling/sample_pool.h"
 #include "testing/toy_graphs.h"
 
 // ---------------------------------------------------------------------------
@@ -268,7 +270,8 @@ TEST(SkipSamplingDistributionTest, GeometricRunCountsMatchBinomial) {
   const VertexId kFan = 24;
   const double kP = 0.08;
   const uint64_t kRounds = 120000;
-  ASSERT_TRUE(ProbGroupedView::RunPrefersGeometric(kP, kFan));
+  ASSERT_EQ(ProbGroupedView::ChooseRunStrategy(kP, kFan),
+            ProbGroupedView::RunStrategy::kJump);
   Graph g = StarGraph(kFan, kP);
   ASSERT_TRUE(g.GroupedView().OutUsesRunWalk(0));
 
@@ -315,14 +318,17 @@ TEST(SkipSamplingDistributionTest, GeometricRunCountsMatchBinomial) {
 }
 
 TEST(SkipSamplingDistributionTest, MixedRunGadgetMarginals) {
-  // One vertex with a geometric-worthy low-p run interleaved with a short
-  // high-p run: the run walk must take the jump branch for the former and
-  // the coin branch for the latter, and every edge's inclusion frequency
-  // must match its own probability under both kinds.
+  // One vertex whose runs take all three strategies in one walk: 24 edges
+  // at p=0.08 jump (2.92 expected draws, under the block gate), 64 at
+  // p=0.25 block-fill (17 expected draws), 3 at p=0.6 coin. The runs are
+  // interleaved in the original order, so the grouped permutation is
+  // exercised too; every edge's inclusion frequency must match its own
+  // probability under both kinds.
+  using Strategy = ProbGroupedView::RunStrategy;
   GraphBuilder builder;
   std::vector<double> probs;
-  for (VertexId k = 0; k < 27; ++k) {
-    const double p = (k % 9 == 4) ? 0.6 : 0.08;  // 3 edges at 0.6, 24 at 0.08
+  for (VertexId k = 0; k < 91; ++k) {  // 3 at 0.6, 24 at 0.08, 64 at 0.25
+    const double p = k % 30 == 4 ? 0.6 : (k % 15 < 4 && k < 90 ? 0.08 : 0.25);
     probs.push_back(p);
     builder.AddEdge(0, k + 1, p);
   }
@@ -330,8 +336,9 @@ TEST(SkipSamplingDistributionTest, MixedRunGadgetMarginals) {
   ASSERT_TRUE(built.ok());
   const Graph& g = *built;
   ASSERT_TRUE(g.GroupedView().OutUsesRunWalk(0));
-  ASSERT_TRUE(ProbGroupedView::RunPrefersGeometric(0.08, 24));
-  ASSERT_FALSE(ProbGroupedView::RunPrefersGeometric(0.6, 3));
+  ASSERT_EQ(ProbGroupedView::ChooseRunStrategy(0.08, 24), Strategy::kJump);
+  ASSERT_EQ(ProbGroupedView::ChooseRunStrategy(0.25, 64), Strategy::kBlock);
+  ASSERT_EQ(ProbGroupedView::ChooseRunStrategy(0.6, 3), Strategy::kCoins);
 
   const uint64_t kRounds = 60000;
   for (SamplerKind kind :
@@ -339,14 +346,14 @@ TEST(SkipSamplingDistributionTest, MixedRunGadgetMarginals) {
     ReachableSampler sampler(g, 0, nullptr, kind);
     SampledGraph s;
     Rng rng(101);
-    std::vector<uint64_t> hits(27, 0);
+    std::vector<uint64_t> hits(91, 0);
     for (uint64_t i = 0; i < kRounds; ++i) {
       sampler.Sample(rng, &s);
       for (VertexId parent : s.to_parent) {
         if (parent > 0) ++hits[parent - 1];
       }
     }
-    for (VertexId k = 0; k < 27; ++k) {
+    for (VertexId k = 0; k < 91; ++k) {
       const double sigma =
           std::sqrt(probs[k] * (1.0 - probs[k]) / kRounds);
       EXPECT_NEAR(static_cast<double>(hits[k]) / kRounds, probs[k],
@@ -373,8 +380,7 @@ TEST(SkipSamplingDistributionTest, TriggeringGroupedMembershipFrequencies) {
   Rng rng_grouped(31), rng_per_edge(33);
   for (int i = 0; i < kRounds; ++i) {
     set.clear();
-    model.SampleTriggerSetGrouped(g, view, v, rng_grouped, &set,
-                                  SamplerKind::kGeometricSkip);
+    model.SampleTriggerSetGrouped(g, view, v, rng_grouped, &set);
     for (uint32_t idx : set) ++grouped_hits[idx];
     set.clear();
     model.SampleTriggerSet(g, v, rng_per_edge, &set);
@@ -423,8 +429,7 @@ TEST(SkipSamplingDeterminismTest, PoolBuildBitExactWithOneShotEstimator) {
 TEST(SkipSamplingDeterminismTest, GreedyBlockersInvariantAcrossThreadCounts) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 7));
   for (SamplerKind kind :
-       {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip,
-        SamplerKind::kBatchedSkip}) {
+       {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
     AdvancedGreedyOptions ag;
     ag.budget = 5;
     ag.theta = 700;
@@ -457,20 +462,59 @@ TEST(SkipSamplingDeterminismTest, GreedyBlockersInvariantAcrossThreadCounts) {
 TEST(SkipSamplingDeterminismTest, KindsVisitDifferentButValidWorlds) {
   // The two kinds consume randomness differently, so for one seed they draw
   // different worlds — both i.i.d. Definition-4 samples. Sanity: same seed
-  // and kind reproduces itself exactly.
-  Graph g = WithWeightedCascade(GenerateBarabasiAlbert(200, 3, 9));
-  SpreadDecreaseOptions skip = SkipOptions(4000, 3, SampleReuse::kPrune);
-  SpreadDecreaseOptions coin = skip;
-  coin.sampler_kind = SamplerKind::kPerEdgeCoin;
+  // and kind reproduces itself exactly. The WC graph's short runs jump or
+  // coin; constant p=0.25 over a dense ER graph makes each row one ~60-edge
+  // run expecting ~16 draws, so it block-fills.
+  for (const Graph& g :
+       {WithWeightedCascade(GenerateBarabasiAlbert(200, 3, 9)),
+        WithConstantProbability(GenerateErdosRenyi(200, 12000, 9), 0.25)}) {
+    SpreadDecreaseOptions skip = SkipOptions(4000, 3, SampleReuse::kPrune);
+    SpreadDecreaseOptions coin = skip;
+    coin.sampler_kind = SamplerKind::kPerEdgeCoin;
 
-  SpreadDecreaseResult a = ComputeSpreadDecrease(g, 0, skip);
-  SpreadDecreaseResult b = ComputeSpreadDecrease(g, 0, skip);
-  SpreadDecreaseResult c = ComputeSpreadDecrease(g, 0, coin);
-  EXPECT_EQ(a.delta, b.delta);
-  EXPECT_DOUBLE_EQ(a.expected_spread, b.expected_spread);
-  EXPECT_NE(a.delta, c.delta);  // different worlds ...
-  EXPECT_NEAR(a.expected_spread, c.expected_spread,
-              0.05 * a.expected_spread);  // ... same distribution
+    SpreadDecreaseResult a = ComputeSpreadDecrease(g, 0, skip);
+    SpreadDecreaseResult b = ComputeSpreadDecrease(g, 0, skip);
+    SpreadDecreaseResult c = ComputeSpreadDecrease(g, 0, coin);
+    EXPECT_EQ(a.delta, b.delta);
+    EXPECT_DOUBLE_EQ(a.expected_spread, b.expected_spread);
+    EXPECT_NE(a.delta, c.delta);  // different worlds ...
+    EXPECT_NEAR(a.expected_spread, c.expected_spread,
+                0.05 * a.expected_spread);  // ... same distribution
+  }
+}
+
+// FNV-1a over every sample region's to_parent list of a fresh θ=200 pool
+// rooted at the max-out-degree vertex 0.
+uint64_t PoolWorldDigest(const Graph& g) {
+  SamplePool::Options options;
+  options.theta = 200;
+  options.seed = 2023;
+  SamplePool pool(g, 0, options);
+  SamplePool::Scratch scratch = pool.MakeScratch();
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint32_t i = 0; i < options.theta; ++i) {
+    pool.DeriveSample(i, &scratch);
+    for (VertexId v : pool.sample(i).to_parent) {
+      for (int byte = 0; byte < 4; ++byte) {
+        h ^= (v >> (8 * byte)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(SkipSamplingDeterminismTest, DefaultWorldsMatchPinnedDigests) {
+  // Pins the default kind's worlds on the service's `GEN ... SCALE 1.0`
+  // graphs (generator and probability seed 1). Wiki-Vote under trivalency
+  // has out-runs that block-fill, so its digest pins the block walk;
+  // EmailCore under WC has none, so every run there jumps or coins.
+  const Graph wiki = WithTrivalency(
+      MakeDataset(*FindDataset("Wiki-Vote"), 1.0, 1), 1);
+  const Graph email =
+      WithWeightedCascade(MakeDataset(*FindDataset("EmailCore"), 1.0, 1));
+  EXPECT_EQ(PoolWorldDigest(wiki), 0xb1bbd84868ad6219ULL);
+  EXPECT_EQ(PoolWorldDigest(email), 0x284d12884bdb68a1ULL);
 }
 
 // --------------------------------------------------- satellite determinism
@@ -478,8 +522,7 @@ TEST(SkipSamplingDeterminismTest, KindsVisitDifferentButValidWorlds) {
 TEST(SkipSamplingSatelliteTest, EstimateSpreadBitIdenticalAcrossThreadCounts) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(200, 3, 11));
   for (SamplerKind kind :
-       {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip,
-        SamplerKind::kBatchedSkip}) {
+       {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
     MonteCarloOptions mc;
     mc.rounds = 4000;
     mc.seed = 19;
@@ -545,19 +588,19 @@ TEST(SkipSamplingSatelliteTest, ParallelBetweennessMatchesSequential) {
 // ------------------------------------------------- allocation-free sampling
 
 TEST(SkipSamplingAllocationTest, SteadyStateSamplingDoesNotAllocate) {
-  // Star with a 60-edge single-probability run: every Sample() walks the
-  // geometric branch. After reserving the output buffers at their maximum
-  // size, repeated draws must perform zero heap allocations.
-  Graph g = StarGraph(60, 0.05);
-  ASSERT_TRUE(g.GroupedView().OutUsesRunWalk(0));
-  ASSERT_TRUE(g.GroupedView().OutUsesRunWalkBatched(0));
-  for (SamplerKind kind :
-       {SamplerKind::kGeometricSkip, SamplerKind::kBatchedSkip}) {
-    ReachableSampler sampler(g, 0, nullptr, kind);
+  // Single-run stars: 60 edges at p=0.05 walk the jump branch, 64 at
+  // p=0.25 the block-fill branch. After reserving the output buffers at
+  // their maximum size, repeated draws must perform zero heap allocations.
+  using Strategy = ProbGroupedView::RunStrategy;
+  ASSERT_EQ(ProbGroupedView::ChooseRunStrategy(0.05, 60), Strategy::kJump);
+  ASSERT_EQ(ProbGroupedView::ChooseRunStrategy(0.25, 64), Strategy::kBlock);
+  for (const Graph& g : {StarGraph(60, 0.05), StarGraph(64, 0.25)}) {
+    ASSERT_TRUE(g.GroupedView().OutUsesRunWalk(0));
+    ReachableSampler sampler(g, 0, nullptr, SamplerKind::kGeometricSkip);
     SampledGraph s;
-    s.offsets.reserve(64);
-    s.targets.reserve(64);
-    s.to_parent.reserve(64);
+    s.offsets.reserve(72);
+    s.targets.reserve(72);
+    s.to_parent.reserve(72);
     Rng rng(3);
     sampler.Sample(rng, &s);  // warm-up
 
@@ -565,7 +608,7 @@ TEST(SkipSamplingAllocationTest, SteadyStateSamplingDoesNotAllocate) {
     for (int i = 0; i < 500; ++i) sampler.Sample(rng, &s);
     const uint64_t after = g_allocation_count.load();
     EXPECT_EQ(after - before, 0u)
-        << "skip-kernel sampling allocated, kind=" << static_cast<int>(kind);
+        << "skip-kernel sampling allocated, fan=" << g.OutDegree(0);
   }
 }
 

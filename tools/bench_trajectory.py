@@ -44,7 +44,6 @@ def _skip_sampling_metrics(run):
             # machine-portable, and a kernel that slows down shows up as a
             # falling ratio even if the runner got faster.
             out[f"{base}_skip_speedup"] = d["speedup"]
-            out[f"{base}_batched_speedup"] = d["speedup_batched"]
     return out
 
 
