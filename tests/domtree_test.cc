@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "common/rng.h"
 #include "domtree/dominator_tree.h"
 #include "gen/generators.h"
@@ -147,11 +150,26 @@ TEST(SubtreeSizesTest, UnreachableGetZero) {
 
 // ---------------------- Lengauer-Tarjan ≡ naive on random graphs ----------
 
+// gtest has no printer for this struct, so it prints the parameter as its
+// 24 raw bytes, and gtest_discover_tests builds each case's ctest name from
+// that print. Bytes 4..7 used to be padding, whose contents (left over on
+// the stack during static initialisation) changed from build to build and
+// run to run, and the names with them. `name_tag` makes those bytes part of
+// the value, so every case keeps the name it is registered under.
 struct RandomGraphParam {
   VertexId n;
+  uint32_t name_tag;
   EdgeId m;
   uint64_t seed;
 };
+static_assert(sizeof(RandomGraphParam) == 24 &&
+                  std::has_unique_object_representations_v<RandomGraphParam>,
+              "RandomGraphParam must have no padding bytes");
+
+constexpr RandomGraphParam Param(VertexId n, EdgeId m, uint64_t seed,
+                                 uint32_t name_tag = 0) {
+  return RandomGraphParam{n, name_tag, m, seed};
+}
 
 class DomTreeEquivalence : public ::testing::TestWithParam<RandomGraphParam> {};
 
@@ -169,13 +187,13 @@ TEST_P(DomTreeEquivalence, LengauerTarjanMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomGraphs, DomTreeEquivalence,
-    ::testing::Values(RandomGraphParam{10, 15, 1}, RandomGraphParam{10, 30, 2},
-                      RandomGraphParam{50, 100, 3},
-                      RandomGraphParam{50, 300, 4},
-                      RandomGraphParam{200, 500, 5},
-                      RandomGraphParam{200, 2000, 6},
-                      RandomGraphParam{500, 1500, 7},
-                      RandomGraphParam{1000, 5000, 8}));
+    ::testing::Values(Param(10, 15, 1), Param(10, 30, 2),
+                      Param(50, 100, 3, 0x65657274),
+                      Param(50, 300, 4),
+                      Param(200, 500, 5, 0x002c3b03),
+                      Param(200, 2000, 6, 0xefe00000),
+                      Param(500, 1500, 7),
+                      Param(1000, 5000, 8, 0xcac00000)));
 
 class DomTreeRmatEquivalence
     : public ::testing::TestWithParam<RandomGraphParam> {};
@@ -196,10 +214,10 @@ TEST_P(DomTreeRmatEquivalence, LengauerTarjanMatchesNaiveOnRmat) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RmatGraphs, DomTreeRmatEquivalence,
-                         ::testing::Values(RandomGraphParam{0, 500, 11},
-                                           RandomGraphParam{0, 1000, 12},
-                                           RandomGraphParam{0, 2000, 13},
-                                           RandomGraphParam{0, 4000, 14}));
+                         ::testing::Values(Param(0, 500, 11),
+                                           Param(0, 1000, 12, 0xffffffff),
+                                           Param(0, 2000, 13),
+                                           Param(0, 4000, 14, 0x00007f58)));
 
 // Semantic property: u dominates v iff removing u disconnects v from the
 // root. Verified by brute force on small random graphs.
@@ -226,10 +244,10 @@ TEST_P(DomSemantics, SubtreeMembershipEqualsCutReachability) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallRandom, DomSemantics,
-                         ::testing::Values(RandomGraphParam{12, 20, 21},
-                                           RandomGraphParam{12, 40, 22},
-                                           RandomGraphParam{20, 60, 23},
-                                           RandomGraphParam{30, 90, 24}));
+                         ::testing::Values(Param(12, 20, 21),
+                                           Param(12, 40, 22, 0xffffffff),
+                                           Param(20, 60, 23),
+                                           Param(30, 90, 24, 0x00007f58)));
 
 }  // namespace
 }  // namespace vblock
