@@ -7,9 +7,7 @@
 // Three interleaved arms over one warm pool entry:
 //   direct     warm service SOLVE, trace off (the reference arm)
 //   trace_off  identical to `direct` — the off/direct ratio bounds the
-//              run-to-run noise of the trace-off path itself; creep
-//              against the *pre-PR* baseline is caught cross-PR by the
-//              committed BENCH_obs.json efficiency trajectory
+//              run-to-run noise of the trace-off path itself
 //   trace_on   same SOLVE with TRACE, spans + stage cells live
 //
 // Arms are interleaved batch-wise and scored by their minimum batch time

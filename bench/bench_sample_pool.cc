@@ -2,7 +2,7 @@
 // refactor: AdvancedGreedy over the incremental pool (both reuse modes)
 // versus the pre-refactor path that re-runs one-shot ComputeSpreadDecrease
 // per greedy round. Emits a single JSON object on stdout so CI can archive
-// the numbers and the perf trajectory is machine-readable.
+// the numbers.
 //
 // Acceptance target (ISSUE 2): pooled (kPrune) mode ≥ 3× faster than the
 // per-round resample path at budget ≥ 20, θ ≥ 2000, with the final blocked

@@ -6,8 +6,7 @@
 // forward root-reachable draws (ReachableSampler, the Algorithm-2 inner
 // loop) and reverse RR-set draws (RrSetGenerator, the direction where WC
 // collapses every vertex's in-edges into a single probability run). Emits
-// one JSON object on stdout so CI can archive the numbers and
-// tools/bench_trajectory.py can append them to the committed perf history.
+// one JSON object on stdout so CI can archive the numbers.
 //
 // Acceptance targets (advisory CI checks): skip ≥ 2x per-edge draw
 // throughput on the WC RR direction, and ≥ 0.9x on the WC forward one.

@@ -18,8 +18,8 @@ namespace vblock {
 /// differently, so for a fixed seed the two kinds visit different (equally
 /// valid, i.i.d.) sampled worlds. Within one kind all determinism
 /// guarantees hold unchanged: sample i always draws from stream
-/// MixSeed(seed, i), results are invariant to thread count and draw ISA,
-/// and a SamplePool build is bit-identical to the one-shot estimator.
+/// MixSeed(seed, i), and results are invariant to thread count and draw
+/// ISA.
 enum class SamplerKind : uint8_t {
   /// One Bernoulli coin per examined edge (the textbook loop). Kept as the
   /// differential-testing reference and for workloads whose adjacency does

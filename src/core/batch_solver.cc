@@ -113,20 +113,19 @@ void RunSweepGroup(const Graph& g, const Group& group, uint32_t engine_threads,
 // GreedyReplace: phase 2 replays the whole phase-1 pick set, so budget b'
 // results are NOT prefixes of budget b results and every member needs its
 // own run. What still amortizes is the unification (always) and the
-// θ-sample pool: under kPrune the engine is a pure function of its blocked
-// mask — clearing the mask restores the freshly built pool bit-for-bit
-// (tests/sample_pool_test.cc asserts the Block/Unblock involution) — so one
-// Build() serves the whole group. Under kResample an Unblock refreshes the
-// pool with new revision streams, which a standalone solve never saw;
-// bit-exactness then requires a fresh deterministic Build() per member.
+// θ-sample pool: Restore() returns a used engine to its freshly built
+// state bit-for-bit in both reuse modes (kPrune re-prunes the pristine
+// worlds, kResample replays the revision-0 streams;
+// tests/sample_pool_test.cc asserts this), so one Build() serves the
+// whole group.
 void RunGreedyReplaceGroup(const Graph& g, const Group& group,
                            uint32_t engine_threads,
                            std::vector<BatchQueryResult>* out,
                            BatchStats* stats) {
   Timer timer;
-  // One shared trace for the whole group in both reuse modes — GR members
-  // share the unification (and, under kPrune, the pool build), so their
-  // attribution is inherently group-level, mirroring the sweep groups.
+  // One shared trace for the whole group — GR members share the
+  // unification and the pool build, so their attribution is inherently
+  // group-level, mirroring the sweep groups.
   std::shared_ptr<obs::SolveTrace> group_trace;
   if (GroupTraced(group.members)) {
     group_trace = std::make_shared<obs::SolveTrace>();
@@ -168,8 +167,7 @@ void RunGreedyReplaceGroup(const Graph& g, const Group& group,
   gr.trace = group_trace.get();
 
   // Build seconds of the most recent engine Build — the shared group build
-  // under kPrune (every member reports the cost it amortizes over), the
-  // member's own build under kResample.
+  // (every member reports the cost it amortizes over).
   double build_seconds = 0;
 
   auto publish = [&](const Member& m, const BlockerSelection& sel) {
@@ -192,71 +190,35 @@ void RunGreedyReplaceGroup(const Graph& g, const Group& group,
     (*out)[m.query_index].result = std::move(r);
   };
 
-  if (group.key.sample_reuse == SampleReuse::kPrune) {
-    auto engine = std::make_unique<SpreadDecreaseEngine>(inst.graph,
-                                                         inst.root, sd);
-    engine->set_trace(group_trace.get());
-    ++stats->engine_builds;
-    double build_begin = timer.ElapsedSeconds();
-    bool engine_ok = engine->Build(Deadline(group.key.time_limit_seconds));
-    build_seconds = timer.ElapsedSeconds() - build_begin;
-    for (const Member& m : group.members) {
-      Deadline deadline(group.key.time_limit_seconds);
-      if (!engine_ok) {
-        // A previous member's deadline latched the engine mid-update (or
-        // the initial build timed out). Every member is entitled to its
-        // own full time budget, exactly like a standalone solve — and the
-        // kPrune Build is deterministic, so rebuilding draws the same
-        // worlds bit-for-bit.
-        engine = std::make_unique<SpreadDecreaseEngine>(inst.graph,
-                                                        inst.root, sd);
-        engine->set_trace(group_trace.get());
-        ++stats->engine_builds;
-        build_begin = timer.ElapsedSeconds();
-        engine_ok = engine->Build(deadline);
-        build_seconds = timer.ElapsedSeconds() - build_begin;
-        if (!engine_ok) {
-          publish_timeout(m);
-          continue;
-        }
-      }
-      // Restore the pool to its freshly built state before this member's
-      // run (the previous member left its final blockers in the mask).
-      for (VertexId v : engine->blocked().ToVector()) {
-        if (!engine->Unblock(v, deadline)) break;
-      }
-      if (engine->timed_out()) {
-        engine_ok = false;
-        publish_timeout(m);
-        continue;
-      }
-      gr.budget = m.budget;
-      BlockerSelection sel = GreedyReplaceWithEngine(engine.get(), gr,
-                                                     deadline);
-      ++stats->full_solves;
-      publish(m, sel);
-      // A deadline latch mid-run poisons the engine; the next member
-      // rebuilds under its own deadline.
-      if (engine->timed_out()) engine_ok = false;
-    }
-  } else {
-    for (const Member& m : group.members) {
-      Deadline deadline(group.key.time_limit_seconds);
-      SpreadDecreaseEngine engine(inst.graph, inst.root, sd);
-      engine.set_trace(group_trace.get());
+  std::unique_ptr<SpreadDecreaseEngine> engine;
+  for (const Member& m : group.members) {
+    Deadline deadline(group.key.time_limit_seconds);
+    if (!engine || engine->timed_out()) {
+      // First member, or a previous member's deadline latched the engine
+      // mid-update: every member is entitled to its own full time budget,
+      // exactly like a standalone solve, and Build is deterministic, so a
+      // rebuild draws the same worlds bit-for-bit.
+      engine = std::make_unique<SpreadDecreaseEngine>(inst.graph, inst.root,
+                                                      sd);
+      engine->set_trace(group_trace.get());
       ++stats->engine_builds;
       const double build_begin = timer.ElapsedSeconds();
-      const bool built = engine.Build(deadline);
+      const bool built = engine->Build(deadline);
       build_seconds = timer.ElapsedSeconds() - build_begin;
       if (!built) {
         publish_timeout(m);
         continue;
       }
-      gr.budget = m.budget;
-      BlockerSelection sel = GreedyReplaceWithEngine(&engine, gr, deadline);
-      ++stats->full_solves;
-      publish(m, sel);
+    } else if (!engine->Restore(deadline)) {
+      // The previous member left its final blockers in the mask; Restore
+      // returns the pool to its freshly built state bit-exactly.
+      publish_timeout(m);
+      continue;
     }
+    gr.budget = m.budget;
+    BlockerSelection sel = GreedyReplaceWithEngine(engine.get(), gr, deadline);
+    ++stats->full_solves;
+    publish(m, sel);
   }
 }
 

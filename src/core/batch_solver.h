@@ -17,8 +17,7 @@
 //     prefixes (budget sweep; RA/OD/PR/BC/BG/AG), or, for GreedyReplace
 //     (whose phase-2 replacement breaks the prefix property), one
 //     SpreadDecreaseEngine whose θ-sample pool is built once and restored
-//     between budgets (kPrune) / one deterministic rebuild per query
-//     (kResample), and
+//     between budgets (in both reuse modes), and
 //  3. schedules independent groups across a common/thread_pool, each group
 //     writing only its own queries' result slots — output order and content
 //     are independent of num_threads and of the submission order.
@@ -104,9 +103,9 @@ struct BatchStats {
   uint32_t full_solves = 0;
   /// Queries answered by slicing another run's selection trace.
   uint32_t sweep_served = 0;
-  /// θ-sample pools built (AG sweeps and GR-kPrune groups build one per
-  /// group; GR-kResample builds one per query; non-sampling algorithms
-  /// build none).
+  /// θ-sample pools built (AG sweeps and GR groups build one per group,
+  /// plus one per GR member that follows a timed-out run; non-sampling
+  /// algorithms build none).
   uint32_t engine_builds = 0;
   /// Wall-clock seconds for the whole batch.
   double seconds = 0;

@@ -4,9 +4,9 @@
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "core/spread_decrease_engine.h"
 #include "core/unified_instance.h"
 #include "graph/graph_builder.h"
-#include "graph/vertex_mask.h"
 
 namespace vblock {
 
@@ -106,40 +106,46 @@ EdgeBlockingResult GreedyEdgeBlocking(const Graph& g,
 
   EdgeSplitInstance split = SplitEdges(g);
   SplitUnified s = UnifySplit(split, seeds);
-  VertexMask blocked(s.unified.graph.NumVertices());
-
   const uint32_t budget =
       std::min<uint32_t>(options.budget,
                          static_cast<uint32_t>(split.edges.size()));
-  for (uint32_t round = 0; round < budget; ++round) {
+
+  SpreadDecreaseOptions sd;
+  sd.theta = options.theta;
+  sd.seed = options.seed;
+  sd.threads = options.threads;
+  SpreadDecreaseEngine engine(s.unified.graph, s.unified.root, sd,
+                              /*model=*/nullptr, /*blocked=*/nullptr,
+                              &s.weights);
+  if (budget > 0 && !engine.Build(deadline)) result.stats.timed_out = true;
+
+  for (uint32_t round = 0; round < budget && !result.stats.timed_out;
+       ++round) {
     if (deadline.Expired()) {
       result.stats.timed_out = true;
       break;
     }
-    SpreadDecreaseOptions sd;
-    sd.theta = options.theta;
-    sd.seed = MixSeed(options.seed, round);
-    sd.threads = options.threads;
-    SpreadDecreaseResult scores = ComputeSpreadDecreaseWeighted(
-        s.unified.graph, s.unified.root, s.weights, sd, &blocked);
-
     // Argmax over auxiliary (edge) vertices only.
     size_t best_edge = split.edges.size();
     double best_delta = -1.0;
     for (size_t i = 0; i < split.edges.size(); ++i) {
-      VertexId aux = s.aux_unified[i];
-      if (blocked.Test(aux)) continue;
-      if (scores.delta[aux] > best_delta) {
+      const VertexId aux = s.aux_unified[i];
+      if (engine.blocked().Test(aux)) continue;
+      if (engine.Delta(aux) > best_delta) {
         best_edge = i;
-        best_delta = scores.delta[aux];
+        best_delta = engine.Delta(aux);
       }
     }
     if (best_edge == split.edges.size()) break;
 
-    blocked.Set(s.aux_unified[best_edge]);
     result.blocked_edges.push_back(split.edges[best_edge]);
     result.stats.round_best_delta.push_back(best_delta);
     ++result.stats.rounds_completed;
+    // Re-score only when another round will read the scores.
+    if (round + 1 < budget &&
+        !engine.Block(s.aux_unified[best_edge], deadline)) {
+      result.stats.timed_out = true;
+    }
   }
 
   result.stats.seconds = timer.ElapsedSeconds();

@@ -64,7 +64,7 @@ Result<std::vector<double>> ComputeEdgeSpreadDecreaseExact(
 struct EdgeBlockingOptions {
   /// Number of edges to remove (k in [13]).
   uint32_t budget = 10;
-  /// Sampled graphs θ per round.
+  /// Sampled graphs θ in the engine's pool.
   uint32_t theta = 10000;
   /// Base RNG seed.
   uint64_t seed = 1;
@@ -81,9 +81,11 @@ struct EdgeBlockingResult {
   GreedyRunStats stats;
 };
 
-/// Greedy edge removal: each round scores every remaining edge with one
-/// weighted Algorithm-2 pass on the split graph and removes the edge with
-/// the largest spread decrease.
+/// Greedy edge removal on one weighted SpreadDecreaseEngine over the split
+/// graph: each round removes the remaining edge with the largest spread
+/// decrease, and Block()ing its auxiliary vertex re-scores only the
+/// samples that contained it (kResample re-draws them). The deadline is
+/// checked inside the θ-loop as well as between rounds.
 EdgeBlockingResult GreedyEdgeBlocking(const Graph& g,
                                       const std::vector<VertexId>& seeds,
                                       const EdgeBlockingOptions& options);

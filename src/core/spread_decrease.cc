@@ -1,224 +1,97 @@
 #include "core/spread_decrease.h"
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "common/thread_pool.h"
-#include "domtree/dominator_tree.h"
-#include "sampling/reachable_sampler.h"
-#include "sampling/triggering_sampler.h"
+#include "core/spread_decrease_engine.h"
 #include "sampling/world_enumerator.h"
 
 namespace vblock {
 
 namespace {
 
-// Per-worker scratch shared by every sample the worker scores: dominator
-// workspace, tree, and size buffers are reused so the θ-loop performs no
-// per-sample heap allocations in steady state.
-struct ScoringScratch {
-  DominatorWorkspace workspace;
-  DominatorTree tree;
-  std::vector<VertexId> sizes;
-  std::vector<double> weighted_sizes;
-  std::vector<double> weights;
-};
-
-// Accumulates one sample's dominator-subtree sizes into `delta`
-// (parent-graph ids) and returns the sample's (weighted) vertex count.
-// `weights` may be null (all ones).
-double AccumulateSample(const SampledGraph& sample,
-                        const std::vector<double>* weights,
-                        ScoringScratch* scratch, std::vector<double>* delta) {
-  if (!weights) {
-    if (sample.NumVertices() > 1) {
-      scratch->workspace.ComputeDominatorTreeInto(sample.View(), 0,
-                                                  &scratch->tree);
-      scratch->workspace.ComputeSubtreeSizesInto(scratch->tree,
-                                                 &scratch->sizes);
-      for (VertexId local = 1; local < sample.NumVertices(); ++local) {
-        (*delta)[sample.to_parent[local]] +=
-            static_cast<double>(scratch->sizes[local]);
-      }
-    }
-    return static_cast<double>(sample.NumVertices());
-  }
-
-  scratch->weights.clear();
-  double total = 0;
-  for (VertexId parent : sample.to_parent) {
-    scratch->weights.push_back((*weights)[parent]);
-    total += (*weights)[parent];
-  }
-  if (sample.NumVertices() > 1) {
-    scratch->workspace.ComputeDominatorTreeInto(sample.View(), 0,
-                                                &scratch->tree);
-    scratch->workspace.ComputeWeightedSubtreeSizesInto(
-        scratch->tree, scratch->weights, &scratch->weighted_sizes);
-    for (VertexId local = 1; local < sample.NumVertices(); ++local) {
-      (*delta)[sample.to_parent[local]] += scratch->weighted_sizes[local];
-    }
-  }
-  return total;
+// One-shot Algorithm 2: a deadline-free Build() of a temporary engine.
+SpreadDecreaseResult ScoreOnce(const Graph& g, VertexId root,
+                               const SpreadDecreaseOptions& options,
+                               const TriggeringModel* model,
+                               const VertexMask* blocked,
+                               const std::vector<double>* vertex_weight) {
+  SpreadDecreaseEngine engine(g, root, options, model, blocked,
+                              vertex_weight);
+  const bool built = engine.Build();
+  VBLOCK_CHECK_MSG(built, "deadline-free build cannot expire");
+  return engine.Scores();
 }
 
-// Shared driver for the IC, triggering and weighted variants:
-// `make_sampler()` returns a callable `void(Rng&, SampledGraph*)`.
-template <typename MakeSampler>
-SpreadDecreaseResult RunSampling(const Graph& g,
-                                 const SpreadDecreaseOptions& options,
-                                 const std::vector<double>* weights,
-                                 MakeSampler&& make_sampler) {
-  VBLOCK_CHECK_MSG(options.theta > 0, "theta must be positive");
-  VBLOCK_CHECK_MSG(!weights || weights->size() == g.NumVertices(),
-                   "weight vector size must match vertex count");
-  const uint32_t threads =
-      std::max<uint32_t>(1, std::min(options.threads, options.theta));
-
-  auto run_range = [&](uint32_t begin, uint32_t end,
-                       std::vector<double>* delta) -> double {
-    auto sampler = make_sampler();
-    SampledGraph sample;
-    ScoringScratch scratch;
-    double total_size = 0;
-    for (uint32_t i = begin; i < end; ++i) {
-      Rng rng(MixSeed(options.seed, i));
-      sampler(rng, &sample);
-      total_size += AccumulateSample(sample, weights, &scratch, delta);
-    }
-    return total_size;
-  };
-
+// Exact Algorithm 2: every world weighted by its probability instead of
+// θ samples weighted 1/θ. `weight` holds 0/1 bytes (empty = all ones).
+Result<SpreadDecreaseResult> EnumerateExact(const Graph& g, VertexId root,
+                                            std::span<const uint8_t> weight,
+                                            const VertexMask* blocked,
+                                            int max_uncertain_edges) {
+  WorldEnumerator enumerator(g, root, blocked);
   SpreadDecreaseResult result;
   result.delta.assign(g.NumVertices(), 0.0);
-  double total_size = 0;
-
-  if (threads == 1) {
-    total_size = run_range(0, options.theta, &result.delta);
-  } else {
-    // One persistent pool per call; its static chunking matches the seed
-    // scheme (sample i always draws stream MixSeed(seed, i)), so results
-    // are identical for every thread count.
-    std::vector<std::vector<double>> partial(
-        threads, std::vector<double>(g.NumVertices(), 0.0));
-    std::vector<double> sizes(threads, 0);
-    ThreadPool pool(threads);
-    pool.ParallelFor(options.theta,
-                     [&](uint32_t t, uint32_t begin, uint32_t end) {
-                       sizes[t] = run_range(begin, end, &partial[t]);
-                     });
-    for (uint32_t t = 0; t < threads; ++t) {
-      total_size += sizes[t];
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        result.delta[v] += partial[t][v];
-      }
-    }
-  }
-
-  const double inv_theta = 1.0 / static_cast<double>(options.theta);
-  for (double& d : result.delta) d *= inv_theta;
-  result.expected_spread = total_size * inv_theta;
+  double spread = 0;
+  SampleScorer scorer;
+  std::vector<VertexId> sizes;
+  Status status = enumerator.ForEachWorld(
+      [&](double world_weight, const SampledGraph& sample) {
+        scorer.Score(sample, weight, &sizes);
+        spread += world_weight * static_cast<double>(sizes[0]);
+        for (VertexId local = 1; local < sample.NumVertices(); ++local) {
+          result.delta[sample.to_parent[local]] +=
+              world_weight * static_cast<double>(sizes[local]);
+        }
+      },
+      max_uncertain_edges);
+  if (!status.ok()) return status;
+  result.expected_spread = spread;
   return result;
 }
 
 }  // namespace
 
+std::vector<uint8_t> CheckZeroOneWeights(const Graph& g,
+                                         const std::vector<double>& weight) {
+  VBLOCK_CHECK_MSG(weight.size() == g.NumVertices(),
+                   "weight vector size must match vertex count");
+  std::vector<uint8_t> bytes(weight.size());
+  for (size_t v = 0; v < weight.size(); ++v) {
+    VBLOCK_CHECK_MSG(weight[v] == 0.0 || weight[v] == 1.0,
+                     "vertex weights must be 0 or 1");
+    bytes[v] = weight[v] == 1.0;
+  }
+  return bytes;
+}
+
 SpreadDecreaseResult ComputeSpreadDecrease(const Graph& g, VertexId root,
                                            const SpreadDecreaseOptions& options,
                                            const VertexMask* blocked) {
-  return RunSampling(g, options, /*weights=*/nullptr, [&] {
-    // One sampler per worker thread; shares the graph, owns scratch space.
-    return [sampler = ReachableSampler(g, root, blocked,
-                                       options.sampler_kind)](
-               Rng& rng, SampledGraph* out) mutable {
-      sampler.Sample(rng, out);
-    };
-  });
+  return ScoreOnce(g, root, options, nullptr, blocked, nullptr);
 }
 
 SpreadDecreaseResult ComputeSpreadDecreaseTriggering(
     const Graph& g, const TriggeringModel& model, VertexId root,
     const SpreadDecreaseOptions& options, const VertexMask* blocked) {
-  return RunSampling(g, options, /*weights=*/nullptr, [&] {
-    return [sampler = TriggeringSampler(g, model, root, blocked,
-                                        options.sampler_kind)](
-               Rng& rng, SampledGraph* out) mutable {
-      sampler.Sample(rng, out);
-    };
-  });
+  return ScoreOnce(g, root, options, &model, blocked, nullptr);
 }
 
 SpreadDecreaseResult ComputeSpreadDecreaseWeighted(
     const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
     const SpreadDecreaseOptions& options, const VertexMask* blocked) {
-  return RunSampling(g, options, &vertex_weight, [&] {
-    return [sampler = ReachableSampler(g, root, blocked,
-                                       options.sampler_kind)](
-               Rng& rng, SampledGraph* out) mutable {
-      sampler.Sample(rng, out);
-    };
-  });
-}
-
-Result<SpreadDecreaseResult> ComputeSpreadDecreaseExactWeighted(
-    const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
-    const VertexMask* blocked, int max_uncertain_edges) {
-  VBLOCK_CHECK_MSG(vertex_weight.size() == g.NumVertices(),
-                   "weight vector size must match vertex count");
-  WorldEnumerator enumerator(g, root, blocked);
-  SpreadDecreaseResult result;
-  result.delta.assign(g.NumVertices(), 0.0);
-  double spread = 0;
-  ScoringScratch scratch;
-  Status status = enumerator.ForEachWorld(
-      [&](double world_weight, const SampledGraph& sample) {
-        scratch.weights.clear();
-        double total = 0;
-        for (VertexId parent : sample.to_parent) {
-          scratch.weights.push_back(vertex_weight[parent]);
-          total += vertex_weight[parent];
-        }
-        spread += world_weight * total;
-        if (sample.NumVertices() <= 1) return;
-        scratch.workspace.ComputeDominatorTreeInto(sample.View(), 0,
-                                                   &scratch.tree);
-        scratch.workspace.ComputeWeightedSubtreeSizesInto(
-            scratch.tree, scratch.weights, &scratch.weighted_sizes);
-        for (VertexId local = 1; local < sample.NumVertices(); ++local) {
-          result.delta[sample.to_parent[local]] +=
-              world_weight * scratch.weighted_sizes[local];
-        }
-      },
-      max_uncertain_edges);
-  if (!status.ok()) return status;
-  result.expected_spread = spread;
-  return result;
+  return ScoreOnce(g, root, options, nullptr, blocked, &vertex_weight);
 }
 
 Result<SpreadDecreaseResult> ComputeSpreadDecreaseExact(
     const Graph& g, VertexId root, const VertexMask* blocked,
     int max_uncertain_edges) {
-  WorldEnumerator enumerator(g, root, blocked);
-  SpreadDecreaseResult result;
-  result.delta.assign(g.NumVertices(), 0.0);
-  double spread = 0;
-  ScoringScratch scratch;
-  Status status = enumerator.ForEachWorld(
-      [&](double weight, const SampledGraph& sample) {
-        spread += weight * static_cast<double>(sample.NumVertices());
-        if (sample.NumVertices() <= 1) return;
-        scratch.workspace.ComputeDominatorTreeInto(sample.View(), 0,
-                                                   &scratch.tree);
-        scratch.workspace.ComputeSubtreeSizesInto(scratch.tree,
-                                                  &scratch.sizes);
-        for (VertexId local = 1; local < sample.NumVertices(); ++local) {
-          result.delta[sample.to_parent[local]] +=
-              weight * static_cast<double>(scratch.sizes[local]);
-        }
-      },
-      max_uncertain_edges);
-  if (!status.ok()) return status;
-  result.expected_spread = spread;
-  return result;
+  return EnumerateExact(g, root, {}, blocked, max_uncertain_edges);
+}
+
+Result<SpreadDecreaseResult> ComputeSpreadDecreaseExactWeighted(
+    const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
+    const VertexMask* blocked, int max_uncertain_edges) {
+  return EnumerateExact(g, root, CheckZeroOneWeights(g, vertex_weight),
+                        blocked, max_uncertain_edges);
 }
 
 }  // namespace vblock

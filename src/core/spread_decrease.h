@@ -7,7 +7,10 @@
 //
 //   Δ[u] = (1/θ) Σ_samples |subtree of u in the dominator tree|   (Thm. 4+6)
 //
-// versus the Monte-Carlo baseline which re-simulates per candidate.
+// versus the Monte-Carlo baseline which re-simulates per candidate. The
+// sampled estimators below are one-shot calls into the one θ-loop,
+// SpreadDecreaseEngine::Build (core/spread_decrease_engine.h): a
+// temporary engine is built and its Scores() returned.
 
 #pragma once
 
@@ -33,7 +36,7 @@ struct SpreadDecreaseOptions {
   /// Worker threads (1 = sequential).
   uint32_t threads = 1;
   /// How SpreadDecreaseEngine maintains its sample pool across blocker
-  /// rounds (ignored by the one-shot Compute* functions): kResample
+  /// rounds (no effect on the one-shot Compute* results): kResample
   /// re-draws affected samples with fresh coins (paper-faithful);
   /// kPrune re-prunes fixed live-edge worlds (fastest). See
   /// sampling/sample_pool.h and docs/DESIGN.md §5.
@@ -43,7 +46,7 @@ struct SpreadDecreaseOptions {
   /// kPerEdgeCoin flips one coin per edge. Same distribution; the kinds
   /// consume randomness differently, so they visit different worlds for
   /// the same seed. All determinism guarantees (thread-count invariance,
-  /// pool ≡ one-shot) hold within either kind. See docs/DESIGN.md §7.
+  /// warm ≡ cold) hold within either kind. See docs/DESIGN.md §7.
   SamplerKind sampler_kind = SamplerKind::kGeometricSkip;
 };
 
@@ -59,7 +62,7 @@ struct SpreadDecreaseResult {
 
 /// Runs Algorithm 2 on the IC model: θ live-edge samples rooted at `root`
 /// (skipping `blocked`), one Lengauer-Tarjan dominator tree per sample, one
-/// subtree-size DFS per tree.
+/// subtree-size pass per tree. Holds a θ-sample pool for the call.
 SpreadDecreaseResult ComputeSpreadDecrease(
     const Graph& g, VertexId root, const SpreadDecreaseOptions& options,
     const VertexMask* blocked = nullptr);
@@ -80,18 +83,26 @@ SpreadDecreaseResult ComputeSpreadDecreaseTriggering(
 
 /// Weighted variant of Algorithm 2: Δ[u] estimates the decrease of the
 /// *weighted* spread Σ_{reached w} weight[w] when u is blocked, and
-/// expected_spread is the weighted spread estimate. With all-ones weights
-/// this equals ComputeSpreadDecrease. The edge-blocking extension assigns
-/// weight 0 to its auxiliary edge-split vertices so that only real
-/// vertices count.
+/// expected_spread is the weighted spread estimate. Weights must be 0/1
+/// (CheckZeroOneWeights); with all ones this equals ComputeSpreadDecrease.
+/// The edge-blocking extension assigns weight 0 to its auxiliary
+/// edge-split vertices so that only real vertices count.
 SpreadDecreaseResult ComputeSpreadDecreaseWeighted(
     const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
     const SpreadDecreaseOptions& options, const VertexMask* blocked = nullptr);
 
 /// Exact weighted variant by exhaustive world enumeration (tests / small
-/// graphs).
+/// graphs); 0/1 weights as above.
 Result<SpreadDecreaseResult> ComputeSpreadDecreaseExactWeighted(
     const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
     const VertexMask* blocked = nullptr, int max_uncertain_edges = 25);
+
+/// Validates weights for the weighted variants and returns them as bytes.
+/// Only 0/1 weights are accepted — the edge-split reduction's 1 for real
+/// and 0 for auxiliary vertices — which keeps every weighted subtree size
+/// an integer, so incremental scoring stays exact. CHECK-fails on any
+/// other value or on a size other than g.NumVertices().
+std::vector<uint8_t> CheckZeroOneWeights(const Graph& g,
+                                         const std::vector<double>& weight);
 
 }  // namespace vblock

@@ -9,20 +9,41 @@
 
 namespace vblock {
 
-SpreadDecreaseEngine::SpreadDecreaseEngine(const Graph& g, VertexId root,
-                                           const SpreadDecreaseOptions& options,
-                                           const TriggeringModel* model)
+void SampleScorer::Score(const SampledGraph& sample,
+                         std::span<const uint8_t> weight,
+                         std::vector<VertexId>* sizes) {
+  std::span<const uint8_t> local;
+  if (!weight.empty()) {
+    local_weight.clear();
+    for (VertexId parent : sample.to_parent) {
+      local_weight.push_back(weight[parent]);
+    }
+    local = local_weight;
+  }
+  if (sample.NumVertices() > 1) {
+    workspace.ComputeDominatorTreeInto(sample.View(), 0, &tree);
+    workspace.ComputeSubtreeSizesInto(tree, sizes, local);
+  } else {
+    sizes->assign(1, local.empty() ? 1 : local[0]);
+  }
+}
+
+SpreadDecreaseEngine::SpreadDecreaseEngine(
+    const Graph& g, VertexId root, const SpreadDecreaseOptions& options,
+    const TriggeringModel* model, const VertexMask* blocked,
+    const std::vector<double>* vertex_weight)
     : graph_(g),
       root_(root),
       pool_(g, root,
             SamplePool::Options{options.theta, options.seed,
                                 options.sample_reuse, options.sampler_kind},
-            model) {
+            model, blocked) {
+  if (vertex_weight) weight_ = CheckZeroOneWeights(g, *vertex_weight);
   num_threads_ = std::max<uint32_t>(1, std::min(options.threads,
                                                 options.theta));
   workers_.reserve(num_threads_);
   for (uint32_t t = 0; t < num_threads_; ++t) {
-    workers_.push_back(Worker{pool_.MakeScratch(), {}, {}});
+    workers_.push_back(Worker{pool_.MakeScratch(), {}});
   }
 }
 
@@ -43,7 +64,7 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
     for (uint32_t i : dirty_) {
       const auto& to_parent = pool_.sample(i).to_parent;
       const auto& sizes = sizes_[i];
-      spread_raw_ -= static_cast<double>(to_parent.size());
+      spread_raw_ -= static_cast<double>(sizes[0]);
       for (uint32_t k = 1; k < to_parent.size(); ++k) {
         delta_raw_[to_parent[k]] -= static_cast<double>(sizes[k]);
       }
@@ -75,13 +96,7 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
           const uint64_t draw_begin = trace ? obs::SolveTrace::NowNanos() : 0;
           pool_.DeriveSample(i, &w.scratch);
           const uint64_t draw_end = trace ? obs::SolveTrace::NowNanos() : 0;
-          const SampledGraph& sample = pool_.sample(i);
-          if (sample.NumVertices() > 1) {
-            w.domtree.ComputeDominatorTreeInto(sample.View(), 0, &w.tree);
-            w.domtree.ComputeSubtreeSizesInto(w.tree, &sizes_[i]);
-          } else {
-            sizes_[i].assign(sample.NumVertices(), 0);
-          }
+          w.scorer.Score(pool_.sample(i), weight_, &sizes_[i]);
           if (trace) {
             trace->Add(obs::SolveStage::kSampleDraw, draw_end - draw_begin);
             trace->Add(obs::SolveStage::kDomTree,
@@ -102,7 +117,7 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
   for (uint32_t i : dirty_) {
     const auto& to_parent = pool_.sample(i).to_parent;
     const auto& sizes = sizes_[i];
-    spread_raw_ += static_cast<double>(to_parent.size());
+    spread_raw_ += static_cast<double>(sizes[0]);
     for (uint32_t k = 1; k < to_parent.size(); ++k) {
       delta_raw_[to_parent[k]] += static_cast<double>(sizes[k]);
     }
@@ -141,6 +156,8 @@ bool SpreadDecreaseEngine::Block(VertexId v, const Deadline& deadline) {
 bool SpreadDecreaseEngine::Unblock(VertexId v, const Deadline& deadline) {
   VBLOCK_CHECK_MSG(built_ && !timed_out_, "engine not in a scorable state");
   VBLOCK_CHECK_MSG(pool_.blocked_mask().Test(v), "vertex is not blocked");
+  VBLOCK_CHECK_MSG(!pool_.build_mask().Test(v),
+                   "vertex is blocked by the build-time mask");
   obs::ScopedSpan span(trace_, obs::SolveStage::kUnblock);
   dirty_.clear();
   pool_.BeginUnblock(v, &dirty_);
@@ -184,6 +201,7 @@ uint64_t SpreadDecreaseEngine::MemoryUsageBytes() const {
   }
   bytes += static_cast<uint64_t>(sizes_.capacity()) *
            sizeof(std::vector<VertexId>);
+  bytes += static_cast<uint64_t>(weight_.capacity()) * sizeof(uint8_t);
   bytes += static_cast<uint64_t>(delta_raw_.capacity()) * sizeof(double);
   bytes += static_cast<uint64_t>(dirty_.capacity()) * sizeof(uint32_t);
   return bytes;

@@ -1,16 +1,19 @@
 // Copyright (c) the vblock authors. Licensed under the MIT license.
 //
-// Stateful Algorithm-2 scoring engine over a persistent SamplePool.
+// Algorithm 2's θ-loop as a stateful scoring engine over a persistent
+// SamplePool.
 //
-// Where ComputeSpreadDecrease re-draws θ samples and re-builds θ dominator
-// trees on every call, the engine keeps the samples, the per-sample
-// dominator subtree sizes, and the aggregate Δ alive across greedy rounds.
-// Block(v) touches only the samples whose region actually contains v:
-// their cached contributions are retired, the regions re-derived under the
-// new mask (pruned or re-drawn per SampleReuse), re-scored, and re-added.
-// Every number involved is an integer stored in a double, so incremental
-// subtract/add is exact and results are bit-identical for any thread
-// count.
+// Build() draws θ samples, builds one dominator tree per sample and sums
+// the subtree sizes — the whole of Algorithm 2. The one-shot estimators
+// (core/spread_decrease.h) are a Build() + Scores() on a temporary
+// engine; the greedy algorithms keep the engine alive across rounds: it
+// keeps the samples, the per-sample dominator subtree sizes, and the
+// aggregate Δ. Block(v) touches only the samples whose region actually
+// contains v: their cached contributions are retired, the regions
+// re-derived under the new mask (pruned or re-drawn per SampleReuse),
+// re-scored, and re-added. Every number involved is an integer stored in
+// a double (vertex weights are 0/1), so incremental subtract/add is exact
+// and results are bit-identical for any thread count.
 //
 // Scoring state after Build()/Block()/Unblock() is always consistent:
 // Delta(v) equals what a from-scratch pass over the pool's current samples
@@ -18,7 +21,9 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -33,7 +38,23 @@ class SolveTrace;
 
 namespace vblock {
 
-/// Incremental Δ estimator consumed by AdvancedGreedy / GreedyReplace.
+/// Algorithm 2's per-sample step: one dominator tree plus one subtree-size
+/// pass over `sample`. sizes[k] is the (weighted) number of sample
+/// vertices lost when local vertex k is blocked (Theorem 6), and sizes[0]
+/// — the root's subtree, i.e. the whole region — the sample's (weighted)
+/// size. `weight` holds 0/1 weights by parent id (empty = all ones). The
+/// buffers are reused, so steady state performs no heap allocations.
+struct SampleScorer {
+  DominatorWorkspace workspace;
+  DominatorTree tree;
+  std::vector<uint8_t> local_weight;
+
+  void Score(const SampledGraph& sample, std::span<const uint8_t> weight,
+             std::vector<VertexId>* sizes);
+};
+
+/// Incremental Δ estimator consumed by AdvancedGreedy / GreedyReplace,
+/// GreedyEdgeBlocking and the one-shot Compute* estimators.
 /// Lifecycle: construct → Build() → interleave Block()/Unblock() with
 /// Delta()/BestUnblocked() queries. All mutators return false (and latch
 /// timed_out()) when the deadline expires mid-update; the engine must not
@@ -41,9 +62,16 @@ namespace vblock {
 class SpreadDecreaseEngine {
  public:
   /// `model` switches sampling to the triggering model (§V-E); not owned.
+  /// `blocked` (copied; null = none) is the build-time mask: Build() and
+  /// Restore() run under it, and its vertices can never be unblocked.
+  /// `vertex_weight` (null = all ones) must be 0/1 per vertex
+  /// (CHECK-enforced; see CheckZeroOneWeights): Δ and the spread then
+  /// count weight-1 vertices only.
   SpreadDecreaseEngine(const Graph& g, VertexId root,
                        const SpreadDecreaseOptions& options,
-                       const TriggeringModel* model = nullptr);
+                       const TriggeringModel* model = nullptr,
+                       const VertexMask* blocked = nullptr,
+                       const std::vector<double>* vertex_weight = nullptr);
 
   /// Draws the θ-sample pool and scores it (the one big θ-loop; checks the
   /// deadline per sample).
@@ -53,17 +81,19 @@ class SpreadDecreaseEngine {
   bool Block(VertexId v, const Deadline& deadline = Deadline());
 
   /// Removes v from the blocked mask (GreedyReplace phase 2) and
-  /// re-derives every sample that may regain vertices through v.
+  /// re-derives every sample that may regain vertices through v. v must
+  /// not be in the build-time mask.
   bool Unblock(VertexId v, const Deadline& deadline = Deadline());
 
-  /// Returns the engine to its freshly-Build() state: clears the whole
-  /// blocked mask and re-derives/re-scores exactly the samples that have
-  /// changed since the build (SamplePool::BeginRestore). Bit-exact in both
-  /// reuse modes — kPrune re-prunes the pristine worlds under the empty
-  /// mask, kResample replays the original revision-0 draw streams — so a
-  /// restored engine answers queries identically to a brand-new one
-  /// (tests/service_test.cc and tests/sample_pool_test.cc assert this).
-  /// This is the warm-pool cache's checkin path: O(samples touched by the
+  /// Returns the engine to its freshly-Build() state: resets the blocked
+  /// mask to the build-time mask and re-derives/re-scores exactly the
+  /// samples that have changed since the build (SamplePool::BeginRestore).
+  /// Bit-exact in both reuse modes — kPrune re-prunes the pristine worlds
+  /// under the build-time mask, kResample replays the original revision-0
+  /// draw streams — so a restored engine answers queries identically to a
+  /// brand-new one (tests/service_test.cc and tests/sample_pool_test.cc
+  /// assert this). This is the warm-pool cache's checkin path and the
+  /// batch GR groups' between-member reset: O(samples touched by the
   /// previous run), not O(θ). Must not be called on a timed-out engine.
   bool Restore(const Deadline& deadline = Deadline());
 
@@ -96,7 +126,7 @@ class SpreadDecreaseEngine {
   VertexId BestUnblocked(double* best_delta = nullptr) const;
 
   /// Estimate of the current expected spread E({root}, G[V\B]) — the mean
-  /// sample-region size (Lemma 1).
+  /// (weighted) sample-region size (Lemma 1).
   double ExpectedSpread() const {
     return spread_raw_ / static_cast<double>(pool_.theta());
   }
@@ -111,18 +141,19 @@ class SpreadDecreaseEngine {
   VertexId root() const { return root_; }
 
   /// Materializes the full score vector in ComputeSpreadDecrease's output
-  /// form (allocates; meant for tests and diagnostics, not the hot loop).
+  /// form (allocates; the one-shot estimators' result, not for the hot
+  /// loop).
   SpreadDecreaseResult Scores() const;
 
   /// Read access to the pool's current samples (tests cross-check the
   /// incremental aggregate against from-scratch scoring of these).
   const SampledGraph& PoolSample(uint32_t i) const { return pool_.sample(i); }
 
-  /// Heap bytes held by the engine: the pool plus the per-sample subtree
-  /// size caches and the score vector. Per-worker scratch (samplers,
-  /// dominator workspaces) is not walked — ReleaseThreads trims it to one
-  /// worker's set before an engine is cached, bounding the omission to
-  /// O(largest sample region). Feeds the warm-pool cache's byte budget
+  /// Heap bytes held by the engine: the pool (with both masks) plus the
+  /// per-sample subtree size caches, the vertex weights and the score
+  /// vector. Per-worker scratch (samplers, dominator workspaces) is not
+  /// walked — ReleaseThreads trims it to one worker's set before an engine
+  /// is cached, bounding the omission to O(largest sample region). Feeds the warm-pool cache's byte budget
   /// (service/pool_cache.h).
   uint64_t MemoryUsageBytes() const;
 
@@ -145,11 +176,10 @@ class SpreadDecreaseEngine {
   void set_trace(obs::SolveTrace* trace) { trace_ = trace; }
 
  private:
-  // Per-thread state: pool scratch plus dominator workspace/tree.
+  // Per-thread state: pool scratch plus the dominator-pass buffers.
   struct Worker {
     SamplePool::Scratch scratch;
-    DominatorWorkspace domtree;
-    DominatorTree tree;
+    SampleScorer scorer;
   };
 
   // Re-derives and re-scores dirty_ (sorted sample ids). `initial` skips
@@ -167,7 +197,7 @@ class SpreadDecreaseEngine {
     if (num_threads_ > 1 && !threads_) {
       threads_ = std::make_unique<ThreadPool>(num_threads_);
       while (workers_.size() < num_threads_) {
-        workers_.push_back(Worker{pool_.MakeScratch(), {}, {}});
+        workers_.push_back(Worker{pool_.MakeScratch(), {}});
       }
     }
     if (threads_) {
@@ -184,9 +214,13 @@ class SpreadDecreaseEngine {
   std::unique_ptr<ThreadPool> threads_;  // spawned lazily; null when 1-threaded
   std::vector<Worker> workers_;
 
-  // sizes_[i][slot] — dominator subtree size of sample i's local vertex
-  // `slot` at the sample's current revision; the cached contribution that
-  // lets Block() subtract a sample's old scores without recomputing them.
+  // 0/1 vertex weights by vertex id; empty = all ones.
+  std::vector<uint8_t> weight_;
+
+  // sizes_[i][slot] — (weighted) dominator subtree size of sample i's
+  // local vertex `slot` at the sample's current revision; slot 0 is the
+  // region size. The cached contribution that lets Block() subtract a
+  // sample's old scores without recomputing them.
   std::vector<std::vector<VertexId>> sizes_;
 
   // Σ over samples of subtree sizes / region sizes (unnormalized; exact —

@@ -119,28 +119,25 @@ void DominatorWorkspace::BuildDomTreeOrder(const DominatorTree& tree) {
   }
 }
 
-void DominatorWorkspace::ComputeSubtreeSizesInto(const DominatorTree& tree,
-                                                 std::vector<VertexId>* sizes) {
+void DominatorWorkspace::ComputeSubtreeSizesInto(
+    const DominatorTree& tree, std::vector<VertexId>* sizes,
+    std::span<const uint8_t> weight) {
   sizes->assign(tree.idom.size(), 0);
   BuildDomTreeOrder(tree);
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    VertexId v = *it;
-    (*sizes)[v] += 1;
-    if (v != tree.root) (*sizes)[tree.idom[v]] += (*sizes)[v];
-  }
-}
-
-void DominatorWorkspace::ComputeWeightedSubtreeSizesInto(
-    const DominatorTree& tree, const std::vector<double>& weight,
-    std::vector<double>* sizes) {
-  VBLOCK_CHECK_MSG(weight.size() == tree.idom.size(),
-                   "weight vector size must match vertex count");
-  sizes->assign(tree.idom.size(), 0.0);
-  BuildDomTreeOrder(tree);
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    VertexId v = *it;
-    (*sizes)[v] += weight[v];
-    if (v != tree.root) (*sizes)[tree.idom[v]] += (*sizes)[v];
+  // One branch per call, not per vertex: the unweighted loop counts 1s.
+  auto accumulate = [&](auto weight_of) {
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      const VertexId v = *it;
+      (*sizes)[v] += weight_of(v);
+      if (v != tree.root) (*sizes)[tree.idom[v]] += (*sizes)[v];
+    }
+  };
+  if (weight.empty()) {
+    accumulate([](VertexId) { return VertexId{1}; });
+  } else {
+    VBLOCK_CHECK_MSG(weight.size() == tree.idom.size(),
+                     "weight vector size must match vertex count");
+    accumulate([&](VertexId v) { return VertexId{weight[v]}; });
   }
 }
 
@@ -148,14 +145,6 @@ std::vector<VertexId> ComputeSubtreeSizes(const DominatorTree& tree) {
   DominatorWorkspace workspace;
   std::vector<VertexId> sizes;
   workspace.ComputeSubtreeSizesInto(tree, &sizes);
-  return sizes;
-}
-
-std::vector<double> ComputeWeightedSubtreeSizes(
-    const DominatorTree& tree, const std::vector<double>& weight) {
-  DominatorWorkspace workspace;
-  std::vector<double> sizes;
-  workspace.ComputeWeightedSubtreeSizesInto(tree, weight, &sizes);
   return sizes;
 }
 

@@ -11,6 +11,8 @@
 
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "domtree/flat_graph_view.h"
@@ -49,12 +51,13 @@ class DominatorWorkspace {
                                 DominatorTree* tree);
 
   /// Subtree sizes into `sizes` (resized/overwritten). Same output as
-  /// ComputeSubtreeSizes / ComputeWeightedSubtreeSizes.
+  /// ComputeSubtreeSizes. With a non-empty `weight` (0/1 per vertex), only
+  /// vertices of weight 1 are counted: the edge-blocking extension gives
+  /// its auxiliary edge-split vertices weight 0 so that only real vertices
+  /// count toward the spread decrease.
   void ComputeSubtreeSizesInto(const DominatorTree& tree,
-                               std::vector<VertexId>* sizes);
-  void ComputeWeightedSubtreeSizesInto(const DominatorTree& tree,
-                                       const std::vector<double>& weight,
-                                       std::vector<double>* sizes);
+                               std::vector<VertexId>* sizes,
+                               std::span<const uint8_t> weight = {});
 
  private:
   // Top-down BFS order of the dominator tree via a CSR children layout;
@@ -100,12 +103,5 @@ DominatorTree ComputeDominatorTreeNaive(const FlatGraphView& g, VertexId root);
 /// rooted at v (unreachable vertices get 0, the root's size is the number of
 /// reachable vertices). This is the σ→u(s,g) of Theorem 6.
 std::vector<VertexId> ComputeSubtreeSizes(const DominatorTree& tree);
-
-/// Weighted generalization: size[v] = Σ weight[w] over the subtree of v.
-/// With all-ones weights this equals ComputeSubtreeSizes. Used by the
-/// edge-blocking extension, where auxiliary edge-split vertices carry
-/// weight 0 so only real vertices count toward the spread decrease.
-std::vector<double> ComputeWeightedSubtreeSizes(
-    const DominatorTree& tree, const std::vector<double>& weight);
 
 }  // namespace vblock

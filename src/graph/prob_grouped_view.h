@@ -165,8 +165,8 @@ class ProbGroupedView {
   // decided at build time so the hot loop only pays a switch. The
   // decisions are deterministic properties of the graph, so reproducibility
   // is untouched. The constants are *measured*, not guessed — see
-  // docs/DESIGN.md §10 for the measurement protocol; tools/bench_trajectory
-  // tracks them staying honest. Reference machine numbers: coin 2.1 ns,
+  // docs/DESIGN.md §10 for the measurement protocol and bench_skip_sampling
+  // for the per-direction timings. Reference machine numbers: coin 2.1 ns,
   // scalar NextGeometric 8.7 ns, block draw 3.5 ns amortized at block 64.
 
   /// Cost of one scalar NextGeometric draw (one libm log) in coin units.

@@ -53,6 +53,11 @@ class VertexMask {
     return c;
   }
 
+  /// Heap bytes held by the bit words.
+  uint64_t MemoryUsageBytes() const {
+    return static_cast<uint64_t>(bits_.capacity()) * sizeof(uint64_t);
+  }
+
   /// All set vertex ids, ascending.
   std::vector<VertexId> ToVector() const {
     std::vector<VertexId> out;

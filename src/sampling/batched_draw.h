@@ -13,7 +13,7 @@
 //  * FillGeometricSkips consumes exactly `count` raw 64-bit outputs of the
 //    stream and its results are a pure function of those bits — so every
 //    determinism guarantee (per-sample MixSeed streams, thread-count
-//    invariance, pool ≡ one-shot) carries over unchanged.
+//    invariance, warm ≡ cold) carries over unchanged.
 //  * The scalar fallback and the AVX2 path compute bit-identical results:
 //    both evaluate the same custom log algorithm (BatchLog below) as the
 //    same sequence of IEEE-754 operations, just 1-wide vs 4-wide. Fused

@@ -8,17 +8,23 @@
 namespace vblock {
 
 SamplePool::SamplePool(const Graph& g, VertexId root, const Options& options,
-                       const TriggeringModel* model)
+                       const TriggeringModel* model,
+                       const VertexMask* build_blocked)
     : graph_(g),
       root_(root),
       options_(options),
       model_(model),
-      blocked_(g.NumVertices()),
+      build_blocked_(build_blocked ? *build_blocked
+                                   : VertexMask(g.NumVertices())),
+      blocked_(build_blocked_),
       samples_(options.theta),
       revision_(options.theta, 0),
       touched_(options.theta, 0) {
   VBLOCK_CHECK_MSG(root < g.NumVertices(), "root out of range");
   VBLOCK_CHECK_MSG(options.theta > 0, "theta must be positive");
+  VBLOCK_CHECK_MSG(build_blocked_.size() == g.NumVertices(),
+                   "mask size must match vertex count");
+  VBLOCK_CHECK_MSG(!build_blocked_.Test(root), "the root cannot be blocked");
 }
 
 SamplePool::Scratch SamplePool::MakeScratch() const {
@@ -232,7 +238,7 @@ void SamplePool::BeginBlock(VertexId v, std::vector<uint32_t>* dirty) {
 }
 
 void SamplePool::BeginUnblock(VertexId v, std::vector<uint32_t>* dirty) {
-  VBLOCK_DCHECK(blocked_.Test(v));
+  VBLOCK_DCHECK(blocked_.Test(v) && !build_blocked_.Test(v));
   blocked_.Clear(v);
   if (options_.reuse == SampleReuse::kPrune) {
     for (uint64_t k = pristine_begin_[v]; k < pristine_begin_[v + 1]; ++k) {
@@ -248,7 +254,7 @@ void SamplePool::BeginUnblock(VertexId v, std::vector<uint32_t>* dirty) {
 }
 
 void SamplePool::BeginRestore(std::vector<uint32_t>* dirty) {
-  blocked_.Reset();
+  blocked_ = build_blocked_;
   for (uint32_t i = 0; i < options_.theta; ++i) {
     if (!touched_[i]) continue;
     dirty->push_back(i);
@@ -259,8 +265,8 @@ void SamplePool::BeginRestore(std::vector<uint32_t>* dirty) {
     // kResample: rewind so DeriveSample replays the revision-0 stream
     // (DrawFresh seeds with MixSeed(seed, i) when revision == 0), making
     // the restored content bit-identical to the original build. kPrune
-    // keeps its revision — it re-prunes the pristine arena, and with the
-    // mask empty that reproduces the fresh draw exactly.
+    // keeps its revision — it re-prunes the pristine arena, and under the
+    // build-time mask that reproduces the fresh draw exactly.
     if (options_.reuse == SampleReuse::kResample) revision_[i] = 0;
   }
 }
@@ -279,7 +285,8 @@ uint64_t VectorBytes(const std::vector<T>& v) {
 }  // namespace
 
 uint64_t SamplePool::MemoryUsageBytes() const {
-  uint64_t bytes = sizeof(SamplePool);
+  uint64_t bytes = sizeof(SamplePool) + build_blocked_.MemoryUsageBytes() +
+                   blocked_.MemoryUsageBytes();
   for (const SampledGraph& s : samples_) {
     bytes += VectorBytes(s.offsets) + VectorBytes(s.targets) +
              VectorBytes(s.to_parent);

@@ -43,14 +43,12 @@ class SamplePool {
   struct Options {
     /// Number of samples θ.
     uint32_t theta = 10000;
-    /// Base RNG seed. Sample i's initial draw uses MixSeed(seed, i) — the
-    /// same stream ComputeSpreadDecrease assigns sample i, so a freshly
-    /// built pool reproduces the one-shot estimator exactly. Re-draw r of
-    /// sample i (kResample) uses MixSeed(MixSeed(seed, i), r).
+    /// Base RNG seed. Sample i's initial draw uses MixSeed(seed, i), so
+    /// results do not depend on the thread count. Re-draw r of sample i
+    /// (kResample) uses MixSeed(MixSeed(seed, i), r).
     uint64_t seed = 1;
     SampleReuse reuse = SampleReuse::kResample;
-    /// Live-edge drawing strategy; must match the one-shot estimator's
-    /// sampler_kind for the pool ≡ one-shot bit-exactness to hold.
+    /// Live-edge drawing strategy (common/sampler_kind.h).
     SamplerKind sampler_kind = SamplerKind::kGeometricSkip;
   };
 
@@ -68,16 +66,20 @@ class SamplePool {
   };
 
   /// `model` selects triggering-set sampling when non-null (not owned; must
-  /// outlive the pool). The root must stay unblocked for the pool's
-  /// lifetime.
+  /// outlive the pool). `build_blocked` (copied; null = none) is the
+  /// build-time mask: the initial draw and every restore run under it, and
+  /// its vertices can never be unblocked. The root must stay unblocked for
+  /// the pool's lifetime.
   SamplePool(const Graph& g, VertexId root, const Options& options,
-             const TriggeringModel* model = nullptr);
+             const TriggeringModel* model = nullptr,
+             const VertexMask* build_blocked = nullptr);
 
   uint32_t theta() const { return options_.theta; }
   VertexId root() const { return root_; }
   SampleReuse reuse() const { return options_.reuse; }
   const Graph& graph() const { return graph_; }
   const VertexMask& blocked_mask() const { return blocked_; }
+  const VertexMask& build_mask() const { return build_blocked_; }
 
   /// Current region of sample i (valid between a DeriveSample(i) and the
   /// next one).
@@ -115,26 +117,26 @@ class SamplePool {
   /// does it).
   void BeginUnblock(VertexId v, std::vector<uint32_t>* dirty);
 
-  /// Resets the blocked mask to all-clear and appends exactly the samples
-  /// whose content may differ from the freshly built pool (those touched
-  /// by a BeginBlock/BeginUnblock since the build — or since the last
-  /// restore, so repeated restore cycles of a hot key stay O(samples the
-  /// previous run touched), never creeping toward O(θ)), sorted ascending.
-  /// After the caller re-derives those samples, the pool is bit-identical
-  /// to its freshly built state: kPrune re-prunes the pristine arena under
-  /// the empty mask, and kResample has its revision counters rewound here
-  /// so the re-draw replays the original revision-0 stream
-  /// MixSeed(seed, i). This is what lets the warm-pool cache
-  /// (service/pool_cache.h) return a used engine to circulation with
-  /// cold-path bit-exactness.
+  /// Resets the blocked mask to the build-time mask and appends exactly
+  /// the samples whose content may differ from the freshly built pool
+  /// (those touched by a BeginBlock/BeginUnblock since the build — or
+  /// since the last restore, so repeated restore cycles of a hot key stay
+  /// O(samples the previous run touched), never creeping toward O(θ)),
+  /// sorted ascending. After the caller re-derives those samples, the pool
+  /// is bit-identical to its freshly built state: kPrune re-prunes the
+  /// pristine arena under the build-time mask, and kResample has its
+  /// revision counters rewound here so the re-draw replays the original
+  /// revision-0 stream MixSeed(seed, i). This is what lets the warm-pool
+  /// cache (service/pool_cache.h) return a used engine to circulation
+  /// with cold-path bit-exactness.
   void BeginRestore(std::vector<uint32_t>* dirty);
 
   /// Epoch migration, step 1 of 3 (see core/spread_decrease_engine.h
   /// MigrateGraph for the orchestration). The pool must be at rest — mask
-  /// empty, every sample published, nothing touched since the last
-  /// restore — and the bound Graph reference must already hold the
-  /// *mutated* edges (the service swaps the graph in place, address- and
-  /// n-stable). Appends to *dirty, sorted ascending, every sample whose
+  /// at its build-time state, every sample published, nothing touched
+  /// since the last restore — and the bound Graph reference must already
+  /// hold the *mutated* edges (the service swaps the graph in place,
+  /// address- and n-stable). Appends to *dirty, sorted ascending, every sample whose
   /// region contains a vertex with a changed out- or in-row (the spans
   /// come from ComputeChangedRows in unified id space; a changed root row
   /// dirties all θ), and rewinds those samples' revisions to 0 so the
@@ -158,8 +160,8 @@ class SamplePool {
   /// the arena high-water mark; used by benchmarks/diagnostics.
   uint64_t TotalRegionVertices() const;
 
-  /// Heap bytes held by the pool: sample regions, the dynamic inverted
-  /// index, and (kPrune) the pristine arena + its CSR index. Counts vector
+  /// Heap bytes held by the pool: sample regions, both masks, the dynamic
+  /// inverted index, and (kPrune) the pristine arena + its CSR index. Counts vector
   /// capacities, so the figure is stable once the pool reaches steady
   /// state. Used by the warm-pool cache's byte budget.
   uint64_t MemoryUsageBytes() const;
@@ -173,6 +175,7 @@ class SamplePool {
   VertexId root_;
   Options options_;
   const TriggeringModel* model_;
+  VertexMask build_blocked_;  // the build-time mask; restores return to it
   VertexMask blocked_;
 
   // Current regions + per-sample re-draw revision (kResample seeding).

@@ -133,8 +133,8 @@ TEST(BatchSolverTest, AdvancedGreedyBudgetSweepMatchesIndependentSolves) {
 }
 
 // GreedyReplace cannot sweep by trace (phase 2 breaks the prefix
-// property): each budget runs, but kPrune builds the θ-sample pool exactly
-// once for the whole group.
+// property): each budget runs, but the θ-sample pool is built exactly once
+// for the whole group and restored between members, in both reuse modes.
 TEST(BatchSolverTest, GreedyReplaceGroupBuildsOnePoolUnderPrune) {
   Graph g = TestGraph();
   BatchOptions options;
@@ -157,11 +157,11 @@ TEST(BatchSolverTest, GreedyReplaceGroupBuildsOnePoolUnderPrune) {
   EXPECT_EQ(batch.stats.sweep_served, 0u);
   EXPECT_EQ(batch.stats.engine_builds, 1u);
 
-  // kResample must rebuild per query to stay bit-exact.
+  // kResample restores bit-exactly too (the revision-0 streams replay).
   options.defaults.sample_reuse = SampleReuse::kResample;
   BatchResult resample = SolveIminBatch(g, queries, options);
   ExpectBitExactWithStandalone(g, queries, options, resample);
-  EXPECT_EQ(resample.stats.engine_builds, 4u);
+  EXPECT_EQ(resample.stats.engine_builds, 1u);
 }
 
 // The BG sweep relies on per-round MC seed streams being independent of

@@ -1,9 +1,9 @@
 // Tests for the persistent SamplePool and the incremental
 // SpreadDecreaseEngine built on it: determinism across thread counts and
 // reuse modes, exact agreement with from-scratch Algorithm-2 scoring on the
-// same fixed sample set, prune-mode exactness on deterministic graphs,
-// deadline handling inside the θ-loop, and allocation-free steady-state
-// scoring rounds.
+// same fixed sample set (also under 0/1 edge-split weights), prune-mode
+// exactness on deterministic graphs, deadline handling inside the θ-loop,
+// and allocation-free steady-state scoring rounds.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <new>
 
 #include "core/advanced_greedy.h"
+#include "core/edge_blocking.h"
 #include "core/greedy_replace.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
@@ -61,23 +62,26 @@ SpreadDecreaseOptions EngineOptions(uint32_t theta, uint64_t seed,
 }
 
 // From-scratch Algorithm-2 scoring over the engine's *current* samples:
-// one dominator tree + subtree-size pass per sample, summed with the free
-// functions. The incremental aggregate must match this exactly (every
-// summand is an integer).
-SpreadDecreaseResult RescoreEnginePool(const SpreadDecreaseEngine& engine,
-                                       VertexId num_vertices) {
+// one dominator tree per sample, with every vertex's weight (1, or
+// `weights` by vertex id) added to Δ of each vertex on its idom chain
+// below the root — Theorem 6 applied directly, independent of the
+// engine's subtree-size pass. The incremental aggregate must match this
+// exactly (every summand is an integer).
+SpreadDecreaseResult RescoreEnginePool(
+    const SpreadDecreaseEngine& engine, VertexId num_vertices,
+    const std::vector<double>* weights = nullptr) {
   SpreadDecreaseResult reference;
   reference.delta.assign(num_vertices, 0.0);
   double total_size = 0;
   for (uint32_t i = 0; i < engine.theta(); ++i) {
     const SampledGraph& sample = engine.PoolSample(i);
-    total_size += static_cast<double>(sample.NumVertices());
-    if (sample.NumVertices() <= 1) continue;
-    DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
-    std::vector<VertexId> sizes = ComputeSubtreeSizes(tree);
-    for (VertexId local = 1; local < sample.NumVertices(); ++local) {
-      reference.delta[sample.to_parent[local]] +=
-          static_cast<double>(sizes[local]);
+    const DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
+    for (VertexId local = 0; local < sample.NumVertices(); ++local) {
+      const double w = weights ? (*weights)[sample.to_parent[local]] : 1.0;
+      total_size += w;
+      for (VertexId u = local; u != 0; u = tree.idom[u]) {
+        reference.delta[sample.to_parent[u]] += w;
+      }
     }
   }
   const double inv_theta = 1.0 / static_cast<double>(engine.theta());
@@ -86,31 +90,26 @@ SpreadDecreaseResult RescoreEnginePool(const SpreadDecreaseEngine& engine,
   return reference;
 }
 
-TEST(SamplePoolEngineTest, FreshBuildMatchesComputeSpreadDecreaseExactly) {
-  Graph g = WithWeightedCascade(GenerateBarabasiAlbert(300, 3, 5));
-  for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
-    SpreadDecreaseEngine engine(g, 0, EngineOptions(1500, 13, reuse));
-    ASSERT_TRUE(engine.Build());
-    SpreadDecreaseResult pooled = engine.Scores();
-
-    SpreadDecreaseOptions sd;
-    sd.theta = 1500;
-    sd.seed = 13;
-    SpreadDecreaseResult reference = ComputeSpreadDecrease(g, 0, sd);
-
-    ASSERT_EQ(pooled.delta.size(), reference.delta.size());
-    for (size_t v = 0; v < reference.delta.size(); ++v) {
-      EXPECT_DOUBLE_EQ(pooled.delta[v], reference.delta[v]) << "v=" << v;
-    }
-    EXPECT_DOUBLE_EQ(pooled.expected_spread, reference.expected_spread);
+void ExpectScoresEqual(const SpreadDecreaseResult& got,
+                       const SpreadDecreaseResult& want) {
+  ASSERT_EQ(got.delta.size(), want.delta.size());
+  for (size_t v = 0; v < want.delta.size(); ++v) {
+    EXPECT_DOUBLE_EQ(got.delta[v], want.delta[v]) << "v=" << v;
   }
+  EXPECT_DOUBLE_EQ(got.expected_spread, want.expected_spread);
 }
 
 TEST(SamplePoolEngineTest, IncrementalScoresMatchFromScratchRescoring) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 7));
   for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
+    SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
     SpreadDecreaseEngine engine(g, 0, EngineOptions(800, 29, reuse));
     ASSERT_TRUE(engine.Build());
+    {
+      SCOPED_TRACE("fresh build");
+      ExpectScoresEqual(engine.Scores(),
+                        RescoreEnginePool(engine, g.NumVertices()));
+    }
 
     // Block a few rounds' worth of best candidates, then unblock one —
     // the full Block/Unblock surface GreedyReplace exercises.
@@ -122,14 +121,56 @@ TEST(SamplePoolEngineTest, IncrementalScoresMatchFromScratchRescoring) {
       picked.push_back(best);
     }
     ASSERT_TRUE(engine.Unblock(picked[1]));
+    ExpectScoresEqual(engine.Scores(),
+                      RescoreEnginePool(engine, g.NumVertices()));
+  }
+}
 
-    SpreadDecreaseResult pooled = engine.Scores();
-    SpreadDecreaseResult reference = RescoreEnginePool(engine, g.NumVertices());
-    for (size_t v = 0; v < reference.delta.size(); ++v) {
-      EXPECT_DOUBLE_EQ(pooled.delta[v], reference.delta[v])
-          << "v=" << v << " reuse=" << static_cast<int>(reuse);
+// The edge-blocking engine: 0/1 edge-split weights (auxiliary vertices 0)
+// must keep the incremental aggregate exact through Build, Block and
+// Unblock.
+TEST(SamplePoolEngineTest, WeightedScoresMatchFromScratchRescoring) {
+  const EdgeSplitInstance split =
+      SplitEdges(WithWeightedCascade(GenerateBarabasiAlbert(150, 3, 19)));
+  const VertexId n = split.graph.NumVertices();
+  for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
+    SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
+    SpreadDecreaseEngine engine(split.graph, 0, EngineOptions(600, 31, reuse),
+                                /*model=*/nullptr, /*blocked=*/nullptr,
+                                &split.weights);
+    ASSERT_TRUE(engine.Build());
+    {
+      SCOPED_TRACE("build");
+      ExpectScoresEqual(engine.Scores(),
+                        RescoreEnginePool(engine, n, &split.weights));
     }
-    EXPECT_DOUBLE_EQ(pooled.expected_spread, reference.expected_spread);
+    // Block the best real vertex, then the best edge (auxiliary) twice.
+    std::vector<VertexId> picked = {engine.BestUnblocked()};
+    ASSERT_LT(picked[0], split.first_aux);
+    ASSERT_TRUE(engine.Block(picked[0]));
+    for (int round = 0; round < 2; ++round) {
+      VertexId best = kInvalidVertex;
+      for (VertexId aux = split.first_aux; aux < n; ++aux) {
+        if (engine.blocked().Test(aux)) continue;
+        if (best == kInvalidVertex || engine.Delta(aux) > engine.Delta(best)) {
+          best = aux;
+        }
+      }
+      ASSERT_GT(engine.Delta(best), 0.0);
+      ASSERT_TRUE(engine.Block(best));
+      picked.push_back(best);
+    }
+    {
+      SCOPED_TRACE("block");
+      ExpectScoresEqual(engine.Scores(),
+                        RescoreEnginePool(engine, n, &split.weights));
+    }
+    ASSERT_TRUE(engine.Unblock(picked[1]));
+    {
+      SCOPED_TRACE("unblock");
+      ExpectScoresEqual(engine.Scores(),
+                        RescoreEnginePool(engine, n, &split.weights));
+    }
   }
 }
 
@@ -267,54 +308,63 @@ TEST(SamplePoolEngineTest, ZeroBudgetAndSinkSeedSkipPoolBuild) {
 }
 
 // Restore() must return a used engine to its freshly-Build() state
-// bit-for-bit in BOTH reuse modes — the warm-pool cache's checkin
-// invariant (service/pool_cache.h). Scores, per-sample regions, and a
-// subsequent greedy run must all be indistinguishable from a brand-new
-// engine's.
+// bit-for-bit in BOTH reuse modes, with and without a build-time mask —
+// the warm-pool cache's checkin invariant (service/pool_cache.h). Scores,
+// per-sample regions, and a subsequent greedy run must all be
+// indistinguishable from a brand-new engine's.
 TEST(SamplePoolEngineTest, RestoreReturnsEngineToFreshBuildBitExactly) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 21));
-  for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
-    SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
-    SpreadDecreaseEngine fresh(g, 0, EngineOptions(500, 23, reuse));
-    ASSERT_TRUE(fresh.Build());
-    const SpreadDecreaseResult want = fresh.Scores();
+  VertexMask build_mask(g.NumVertices());
+  build_mask.Set(1);
+  build_mask.Set(2);
+  const VertexMask* const masks[] = {nullptr, &build_mask};
+  for (const VertexMask* mask : masks) {
+    for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
+      SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
+      SCOPED_TRACE(mask ? "build mask" : "no mask");
+      SpreadDecreaseEngine fresh(g, 0, EngineOptions(500, 23, reuse),
+                                 nullptr, mask);
+      ASSERT_TRUE(fresh.Build());
+      const SpreadDecreaseResult want = fresh.Scores();
 
-    SpreadDecreaseEngine used(g, 0, EngineOptions(500, 23, reuse));
-    ASSERT_TRUE(used.Build());
-    // A realistic mutation history: greedy blocks plus an unblock (the
-    // GreedyReplace phase-2 pattern).
-    VertexId a = used.BestUnblocked();
-    ASSERT_TRUE(used.Block(a));
-    VertexId b = used.BestUnblocked();
-    ASSERT_TRUE(used.Block(b));
-    ASSERT_TRUE(used.Unblock(a));
-    ASSERT_TRUE(used.Restore());
+      SpreadDecreaseEngine used(g, 0, EngineOptions(500, 23, reuse), nullptr,
+                                mask);
+      ASSERT_TRUE(used.Build());
+      // A realistic mutation history: greedy blocks plus an unblock (the
+      // GreedyReplace phase-2 pattern).
+      VertexId a = used.BestUnblocked();
+      ASSERT_TRUE(used.Block(a));
+      VertexId b = used.BestUnblocked();
+      ASSERT_TRUE(used.Block(b));
+      ASSERT_TRUE(used.Unblock(a));
+      ASSERT_TRUE(used.Restore());
 
-    EXPECT_EQ(used.blocked().Count(), 0u);
-    const SpreadDecreaseResult got = used.Scores();
-    EXPECT_EQ(got.delta, want.delta);
-    EXPECT_EQ(got.expected_spread, want.expected_spread);
-    for (uint32_t i = 0; i < used.theta(); ++i) {
-      const SampledGraph& restored = used.PoolSample(i);
-      const SampledGraph& pristine = fresh.PoolSample(i);
-      ASSERT_EQ(restored.to_parent, pristine.to_parent) << "sample " << i;
-      ASSERT_EQ(restored.offsets, pristine.offsets) << "sample " << i;
-      ASSERT_EQ(restored.targets, pristine.targets) << "sample " << i;
+      EXPECT_EQ(used.blocked().ToVector(), fresh.blocked().ToVector());
+      const SpreadDecreaseResult got = used.Scores();
+      EXPECT_EQ(got.delta, want.delta);
+      EXPECT_EQ(got.expected_spread, want.expected_spread);
+      for (uint32_t i = 0; i < used.theta(); ++i) {
+        const SampledGraph& restored = used.PoolSample(i);
+        const SampledGraph& pristine = fresh.PoolSample(i);
+        ASSERT_EQ(restored.to_parent, pristine.to_parent) << "sample " << i;
+        ASSERT_EQ(restored.offsets, pristine.offsets) << "sample " << i;
+        ASSERT_EQ(restored.targets, pristine.targets) << "sample " << i;
+      }
+
+      // And the restored engine replays a full greedy run identically.
+      AdvancedGreedyOptions ag;
+      ag.budget = 5;
+      ag.theta = 500;
+      ag.seed = 23;
+      ag.sample_reuse = reuse;
+      BlockerSelection from_fresh =
+          AdvancedGreedyWithEngine(&fresh, ag, Deadline());
+      BlockerSelection from_restored =
+          AdvancedGreedyWithEngine(&used, ag, Deadline());
+      EXPECT_EQ(from_fresh.blockers, from_restored.blockers);
+      EXPECT_EQ(from_fresh.stats.round_best_delta,
+                from_restored.stats.round_best_delta);
     }
-
-    // And the restored engine replays a full greedy run identically.
-    AdvancedGreedyOptions ag;
-    ag.budget = 5;
-    ag.theta = 500;
-    ag.seed = 23;
-    ag.sample_reuse = reuse;
-    BlockerSelection from_fresh =
-        AdvancedGreedyWithEngine(&fresh, ag, Deadline());
-    BlockerSelection from_restored =
-        AdvancedGreedyWithEngine(&used, ag, Deadline());
-    EXPECT_EQ(from_fresh.blockers, from_restored.blockers);
-    EXPECT_EQ(from_fresh.stats.round_best_delta,
-              from_restored.stats.round_best_delta);
   }
 }
 

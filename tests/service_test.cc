@@ -46,13 +46,12 @@ ServiceOptions FastOptions(uint32_t num_threads = 2) {
 IminRequest MakeRequest(std::vector<VertexId> seeds, uint32_t budget,
                         Algorithm algorithm,
                         SampleReuse reuse = SampleReuse::kPrune) {
-  IminRequest request;
-  request.graph = "g";
-  request.query.seeds = std::move(seeds);
-  request.query.budget = budget;
-  request.query.algorithm = algorithm;
-  request.query.sample_reuse = reuse;
-  return request;
+  IminQuery query;
+  query.seeds = std::move(seeds);
+  query.budget = budget;
+  query.algorithm = algorithm;
+  query.sample_reuse = reuse;
+  return IminRequest{.graph = "g", .query = std::move(query)};
 }
 
 // Bit-level equality on everything the determinism contract covers

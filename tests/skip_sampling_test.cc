@@ -2,11 +2,10 @@
 // adjacency: grouped-view round-trip (the per-vertex permutation restores
 // the original edge order and preserves every probability bit-for-bit),
 // subset-distribution checks on fan-out gadgets (chi-square bound against
-// the closed form), pool ≡ one-shot bit-exactness, thread-count invariance
-// and pinned default worlds under kGeometricSkip, allocation-free
-// steady-state sampling, and a statistical cross-check that blocked-spread
-// estimates under both kinds agree within 2% on a WC-model generator
-// graph. Also covers EstimateSpread / EstimateActivationProbabilities
+// the closed form), thread-count invariance and pinned default worlds
+// under kGeometricSkip, allocation-free steady-state sampling, and a
+// statistical cross-check that blocked-spread estimates under both kinds
+// agree within 2% on a WC-model generator graph. Also covers EstimateSpread / EstimateActivationProbabilities
 // thread-count bit-invariance on the thread pool, and the parallel
 // flat-buffer Brandes.
 
@@ -407,23 +406,6 @@ SpreadDecreaseOptions SkipOptions(uint32_t theta, uint64_t seed,
   opts.sample_reuse = reuse;
   opts.sampler_kind = SamplerKind::kGeometricSkip;
   return opts;
-}
-
-TEST(SkipSamplingDeterminismTest, PoolBuildBitExactWithOneShotEstimator) {
-  Graph g = WithWeightedCascade(GenerateBarabasiAlbert(300, 3, 5));
-  for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
-    SpreadDecreaseEngine engine(g, 0, SkipOptions(1200, 13, reuse));
-    ASSERT_TRUE(engine.Build());
-    SpreadDecreaseResult pooled = engine.Scores();
-
-    SpreadDecreaseResult reference =
-        ComputeSpreadDecrease(g, 0, SkipOptions(1200, 13, reuse));
-    ASSERT_EQ(pooled.delta.size(), reference.delta.size());
-    for (size_t v = 0; v < reference.delta.size(); ++v) {
-      EXPECT_DOUBLE_EQ(pooled.delta[v], reference.delta[v]) << "v=" << v;
-    }
-    EXPECT_DOUBLE_EQ(pooled.expected_spread, reference.expected_spread);
-  }
 }
 
 TEST(SkipSamplingDeterminismTest, GreedyBlockersInvariantAcrossThreadCounts) {
