@@ -21,8 +21,8 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "core/advanced_greedy.h"
 #include "core/evaluator.h"
+#include "core/greedy.h"
 #include "core/spread_decrease.h"
 #include "gen/generators.h"
 #include "graph/vertex_mask.h"
@@ -75,7 +75,7 @@ ArmResult RunPooled(const Graph& g, VertexId root, uint32_t budget,
                     SampleReuse reuse) {
   ArmResult arm;
   Timer timer;
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = budget;
   opts.theta = theta;
   opts.seed = seed;

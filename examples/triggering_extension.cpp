@@ -54,14 +54,14 @@ int main() {
       {"b", "AG(LT) spread", "GR(LT) spread", "GR(IC-sampling) spread"});
   for (uint32_t budget : {5u, 10u, 20u}) {
     // AG and GR with triggering-model sampling (the §V-E extension).
-    vblock::AdvancedGreedyOptions ag;
+    vblock::GreedyOptions ag;
     ag.budget = budget;
     ag.theta = 4000;
     ag.seed = 13;
     ag.triggering_model = &lt;
     auto ag_sel = vblock::AdvancedGreedy(lt_graph, inst.root, ag);
 
-    vblock::GreedyReplaceOptions gr;
+    vblock::GreedyOptions gr;
     gr.budget = budget;
     gr.theta = 4000;
     gr.seed = 13;
@@ -71,7 +71,7 @@ int main() {
     // Mis-specified control: choose blockers with IC sampling semantics,
     // then evaluate them under LT — quantifies what §V-E's native
     // triggering support buys.
-    vblock::GreedyReplaceOptions ic;
+    vblock::GreedyOptions ic;
     ic.budget = budget;
     ic.theta = 4000;
     ic.seed = 13;

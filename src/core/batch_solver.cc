@@ -10,10 +10,8 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/query_key.h"
-#include "core/spread_decrease_engine.h"
-#include "core/unified_instance.h"
 #include "obs/solve_trace.h"
 
 namespace vblock {
@@ -112,12 +110,12 @@ void RunSweepGroup(const Graph& g, const Group& group, uint32_t engine_threads,
 
 // GreedyReplace: phase 2 replays the whole phase-1 pick set, so budget b'
 // results are NOT prefixes of budget b results and every member needs its
-// own run. What still amortizes is the unification (always) and the
-// θ-sample pool: Restore() returns a used engine to its freshly built
-// state bit-for-bit in both reuse modes (kPrune re-prunes the pristine
-// worlds, kResample replays the revision-0 streams;
-// tests/sample_pool_test.cc asserts this), so one Build() serves the
-// whole group.
+// own run. What still amortizes is the unification and the θ-sample pool:
+// every member runs SolveGreedy on one WarmEntry, and Restore() returns
+// its engine to the freshly built state bit-for-bit in both reuse modes
+// (kPrune re-prunes the pristine worlds, kResample replays the revision-0
+// streams; tests/sample_pool_test.cc asserts this), so one Build() serves
+// the whole group.
 void RunGreedyReplaceGroup(const Graph& g, const Group& group,
                            uint32_t engine_threads,
                            std::vector<BatchQueryResult>* out,
@@ -130,95 +128,30 @@ void RunGreedyReplaceGroup(const Graph& g, const Group& group,
   if (GroupTraced(group.members)) {
     group_trace = std::make_shared<obs::SolveTrace>();
   }
-  const uint64_t unify_begin =
-      group_trace ? obs::SolveTrace::NowNanos() : 0;
-  UnifiedInstance inst =
-      UnifySeeds(g, group.key.seeds, group.key.vertex_order);
-  if (group_trace) {
-    group_trace->Add(obs::SolveStage::kUnify,
-                     obs::SolveTrace::NowNanos() - unify_begin);
-  }
-  const uint32_t max_budget = group.members.back().budget;
-
-  if (max_budget == 0 || inst.graph.OutDegree(inst.root) == 0) {
-    // Standalone GR skips the pool for zero budgets and sink seeds; so
-    // does the batch — every member's answer is the empty set.
-    const double seconds = timer.ElapsedSeconds();
-    for (const Member& m : group.members) {
-      (*out)[m.query_index].result.stats.seconds = seconds;
-    }
-    return;
-  }
-
-  SpreadDecreaseOptions sd;
-  sd.theta = group.key.theta;
-  sd.seed = group.key.seed;
-  sd.threads = engine_threads;
-  sd.sample_reuse = group.key.sample_reuse;
-  sd.sampler_kind = group.key.sampler_kind;
-
-  GreedyReplaceOptions gr;
-  gr.theta = group.key.theta;
-  gr.seed = group.key.seed;
-  gr.threads = engine_threads;
-  gr.time_limit_seconds = group.key.time_limit_seconds;
-  gr.sample_reuse = group.key.sample_reuse;
-  gr.sampler_kind = group.key.sampler_kind;
-  gr.trace = group_trace.get();
-
-  // Build seconds of the most recent engine Build — the shared group build
-  // (every member reports the cost it amortizes over).
-  double build_seconds = 0;
-
-  auto publish = [&](const Member& m, const BlockerSelection& sel) {
-    SolverResult r;
-    r.blockers = inst.BlockersToOriginal(sel.blockers);
-    r.stats = sel.stats;
-    r.stats.selection_trace =
-        inst.BlockersToOriginal(sel.stats.selection_trace);
-    r.stats.seconds = timer.ElapsedSeconds();
-    r.stats.pool_build_seconds = build_seconds;
-    if (m.trace) r.trace = group_trace;
-    (*out)[m.query_index].result = std::move(r);
-  };
-  auto publish_timeout = [&](const Member& m) {
-    SolverResult r;
-    r.stats.timed_out = true;
-    r.stats.seconds = timer.ElapsedSeconds();
-    r.stats.pool_build_seconds = build_seconds;
-    if (m.trace) r.trace = group_trace;
-    (*out)[m.query_index].result = std::move(r);
-  };
-
-  std::unique_ptr<SpreadDecreaseEngine> engine;
+  WarmEntry entry;
   for (const Member& m : group.members) {
     Deadline deadline(group.key.time_limit_seconds);
-    if (!engine || engine->timed_out()) {
-      // First member, or a previous member's deadline latched the engine
-      // mid-update: every member is entitled to its own full time budget,
-      // exactly like a standalone solve, and Build is deterministic, so a
-      // rebuild draws the same worlds bit-for-bit.
-      engine = std::make_unique<SpreadDecreaseEngine>(inst.graph, inst.root,
-                                                      sd);
-      engine->set_trace(group_trace.get());
-      ++stats->engine_builds;
-      const double build_begin = timer.ElapsedSeconds();
-      const bool built = engine->Build(deadline);
-      build_seconds = timer.ElapsedSeconds() - build_begin;
-      if (!built) {
-        publish_timeout(m);
-        continue;
-      }
-    } else if (!engine->Restore(deadline)) {
-      // The previous member left its final blockers in the mask; Restore
-      // returns the pool to its freshly built state bit-exactly.
-      publish_timeout(m);
-      continue;
+    // A previous member's deadline latched the engine mid-update: every
+    // member is entitled to its own full time budget, exactly like a
+    // standalone solve, and Build is deterministic, so a rebuild draws the
+    // same worlds bit-for-bit.
+    if (entry.engine && entry.engine->timed_out()) entry.engine.reset();
+    SolverResult r;
+    if (entry.engine && !entry.engine->Restore(deadline)) {
+      // The previous member left its final blockers in the mask and this
+      // member's deadline expired while restoring them.
+      r.stats.timed_out = true;
+    } else {
+      const bool cold = entry.engine == nullptr;
+      r = SolveGreedy(g, group.key.seeds,
+                      SolverOptionsForKey(group.key, m.budget, engine_threads),
+                      deadline, group_trace.get(), &entry);
+      if (cold && entry.engine) ++stats->engine_builds;
+      ++stats->full_solves;
     }
-    gr.budget = m.budget;
-    BlockerSelection sel = GreedyReplaceWithEngine(engine.get(), gr, deadline);
-    ++stats->full_solves;
-    publish(m, sel);
+    r.stats.seconds = timer.ElapsedSeconds();
+    if (m.trace) r.trace = group_trace;
+    (*out)[m.query_index].result = std::move(r);
   }
 }
 

@@ -16,8 +16,9 @@
 //     max-budget run whose selection trace is sliced into bit-exact
 //     prefixes (budget sweep; RA/OD/PR/BC/BG/AG), or, for GreedyReplace
 //     (whose phase-2 replacement breaks the prefix property), one
-//     SpreadDecreaseEngine whose θ-sample pool is built once and restored
-//     between budgets (in both reuse modes), and
+//     SolveGreedy per budget on a single WarmEntry (core/greedy.h), whose
+//     θ-sample pool is built once and restored between budgets (in both
+//     reuse modes), and
 //  3. schedules independent groups across a common/thread_pool, each group
 //     writing only its own queries' result slots — output order and content
 //     are independent of num_threads and of the submission order.

@@ -24,9 +24,9 @@ struct GreedyRunStats {
   /// pool_build_seconds.
   double seconds = 0;
   /// Wall-clock seconds spent building the θ-sample pool (engine Build).
-  /// Filled by the standalone AG/GR entry points and by callers that own
-  /// the build (query service, batch solver); 0 when the pool was already
-  /// warm. Reported separately so warm-vs-cold wins are visible
+  /// Filled by whichever AG/GR call built the engine (core/greedy.h); 0
+  /// when the pool was already warm — a cache hit, or a batch GR member
+  /// after the first. Reported separately so warm-vs-cold wins are visible
   /// per-request (`pool_ms=` on the wire).
   double pool_build_seconds = 0;
   /// Best Δ chosen in each completed selection round (diagnostics).

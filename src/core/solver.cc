@@ -4,10 +4,9 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "core/advanced_greedy.h"
 #include "core/baseline_greedy.h"
 #include "core/betweenness.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/heuristics.h"
 #include "core/unified_instance.h"
 
@@ -76,13 +75,6 @@ Result<SolverResult> SolveImin(const Graph& g,
   if (options.trace) result.trace = std::make_shared<obs::SolveTrace>();
   obs::SolveTrace* const trace = result.trace.get();
 
-  // Seed unification is shared by all greedy branches; give it one helper
-  // so each branch's kUnify span covers exactly the UnifySeeds call.
-  auto unify = [&] {
-    obs::ScopedSpan span(trace, obs::SolveStage::kUnify);
-    return UnifySeeds(g, seeds, options.vertex_order);
-  };
-
   switch (options.algorithm) {
     case Algorithm::kRandom: {
       obs::ScopedSpan span(trace, obs::SolveStage::kSelect);
@@ -112,7 +104,10 @@ Result<SolverResult> SolveImin(const Graph& g,
       break;
     }
     case Algorithm::kBaselineGreedy: {
-      UnifiedInstance inst = unify();
+      UnifiedInstance inst = [&] {
+        obs::ScopedSpan span(trace, obs::SolveStage::kUnify);
+        return UnifySeeds(g, seeds, options.vertex_order);
+      }();
       BaselineGreedyOptions bg;
       bg.budget = options.budget;
       bg.mc_rounds = options.mc_rounds;
@@ -127,40 +122,15 @@ Result<SolverResult> SolveImin(const Graph& g,
           inst.BlockersToOriginal(sel.stats.selection_trace);
       break;
     }
-    case Algorithm::kAdvancedGreedy: {
-      UnifiedInstance inst = unify();
-      AdvancedGreedyOptions ag;
-      ag.budget = options.budget;
-      ag.theta = options.theta;
-      ag.seed = options.seed;
-      ag.threads = options.threads;
-      ag.time_limit_seconds = options.time_limit_seconds;
-      ag.sample_reuse = options.sample_reuse;
-      ag.sampler_kind = options.sampler_kind;
-      ag.trace = trace;
-      BlockerSelection sel = AdvancedGreedy(inst.graph, inst.root, ag);
-      result.blockers = inst.BlockersToOriginal(sel.blockers);
-      result.stats = sel.stats;
-      result.stats.selection_trace =
-          inst.BlockersToOriginal(sel.stats.selection_trace);
-      break;
-    }
+    case Algorithm::kAdvancedGreedy:
     case Algorithm::kGreedyReplace: {
-      UnifiedInstance inst = unify();
-      GreedyReplaceOptions gr;
-      gr.budget = options.budget;
-      gr.theta = options.theta;
-      gr.seed = options.seed;
-      gr.threads = options.threads;
-      gr.time_limit_seconds = options.time_limit_seconds;
-      gr.sample_reuse = options.sample_reuse;
-      gr.sampler_kind = options.sampler_kind;
-      gr.trace = trace;
-      BlockerSelection sel = GreedyReplace(inst.graph, inst.root, gr);
-      result.blockers = inst.BlockersToOriginal(sel.blockers);
-      result.stats = sel.stats;
-      result.stats.selection_trace =
-          inst.BlockersToOriginal(sel.stats.selection_trace);
+      // The cold path: an empty entry, so SolveGreedy unifies and builds.
+      WarmEntry cold;
+      SolverResult solved =
+          SolveGreedy(g, seeds, options, Deadline(options.time_limit_seconds),
+                      trace, &cold);
+      result.blockers = std::move(solved.blockers);
+      result.stats = std::move(solved.stats);
       break;
     }
   }

@@ -5,7 +5,9 @@
 // Callers hand over the original instance (graph, seed set, budget) and an
 // algorithm choice; the facade validates the query, performs the multi-seed
 // unification, runs the selected algorithm, and maps the blockers back to
-// original vertex ids.
+// original vertex ids. AG and GR run through SolveGreedy (core/greedy.h) on
+// an empty WarmEntry — the same path the batch solver and the query
+// service run on their warm entries, so all three answer identically.
 //
 //   SolverOptions opts;
 //   opts.algorithm = Algorithm::kGreedyReplace;

@@ -105,9 +105,11 @@ class SpreadDecreaseEngine {
   /// changed-row spans come from ComputeChangedRows in this engine's
   /// (unified) id space. Every worker's sampler scratch is rebuilt first —
   /// samplers capture a pointer to the *old* grouped view at construction
-  /// — then exactly the samples whose worlds touch changed rows are
-  /// re-drawn on their cold revision-0 streams and re-scored
-  /// (SamplePool::BeginMigrate), leaving the engine bit-identical to one
+  /// — then the samples whose draws read a changed row (a region vertex's
+  /// out-row; under a triggering model also the in-row of each vertex a
+  /// region vertex has an edge into) are re-drawn on their cold revision-0
+  /// streams and re-scored (SamplePool::BeginMigrate), leaving the engine
+  /// bit-identical to one
   /// cold-built on the mutated graph. Runs deadline-free (the work is
   /// O(affected samples), the same order as one greedy round). Returns
   /// the number of re-derived samples.

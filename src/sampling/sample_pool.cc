@@ -183,7 +183,17 @@ void SamplePool::BeginMigrate(std::span<const VertexId> changed_out,
     for (const IndexEntry& entry : index_[v]) affected[entry.sample] = 1;
   };
   for (VertexId v : changed_out) mark(v);
-  for (VertexId v : changed_in) mark(v);
+  // An IC draw reads only the out-rows of region vertices, and every
+  // changed in-row comes with its source's changed out-row. A triggering
+  // draw also reads v's in-row whenever a region vertex has an edge into
+  // v: it draws v's trigger set whether or not v turns live. Every such
+  // region vertex is an in-neighbour of v in the mutated graph, or lost
+  // its edge to v and so has a changed out-row.
+  if (model_ != nullptr) {
+    for (VertexId v : changed_in) {
+      for (VertexId w : graph_.InNeighbors(v)) mark(w);
+    }
+  }
 
   for (uint32_t i = 0; i < theta; ++i) {
     if (!all && !affected[i]) continue;

@@ -136,10 +136,15 @@ class SamplePool {
   /// at its build-time state, every sample published, nothing touched
   /// since the last restore — and the bound Graph reference must already
   /// hold the *mutated* edges (the service swaps the graph in place,
-  /// address- and n-stable). Appends to *dirty, sorted ascending, every sample whose
-  /// region contains a vertex with a changed out- or in-row (the spans
-  /// come from ComputeChangedRows in unified id space; a changed root row
-  /// dirties all θ), and rewinds those samples' revisions to 0 so the
+  /// address- and n-stable). Appends to *dirty, sorted ascending, every
+  /// sample whose draw read a changed row: its region holds a vertex with
+  /// a changed out-row or — for a triggering-model pool, whose draw reads
+  /// the in-row of every vertex a region vertex has an edge into — an
+  /// in-neighbour of a vertex with a changed in-row (the spans come from
+  /// ComputeChangedRows in unified id space; a changed root row dirties
+  /// all θ). An IC draw reads only region vertices' out-rows, and an edge
+  /// change always changes its source's out-row, so IC pools ignore
+  /// changed_in. It rewinds those samples' revisions to 0 so the
   /// re-derive replays the cold stream MixSeed(seed, i) — in *both* reuse
   /// modes: a kPrune re-derive must be a fresh draw from the mutated
   /// graph, not a prune of the stale pristine arena. Samples left clean

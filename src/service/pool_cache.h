@@ -6,8 +6,10 @@
 // samples, compute θ dominator trees — dominates the latency of an AG/GR
 // solve. For a hot (graph, seed set, sampling parameters) key that work is
 // identical on every request, so the cache keeps the finished product: a
-// WarmEntry holding the unified instance plus an engine restored to its
-// freshly-Build() state. A cache hit skips the entire build; the
+// WarmEntry (core/greedy.h) holding the unified instance plus an engine
+// restored to its freshly-Build() state. The service runs SolveGreedy on
+// the checked-out entry, which builds only what the entry lacks, so a
+// cache hit skips the entire build; the
 // determinism contract (docs/DESIGN.md §8) guarantees the warm solve is
 // bit-identical to the cold one, because SpreadDecreaseEngine::Restore
 // provably returns the engine to the same bits a fresh Build produces.
@@ -58,33 +60,10 @@
 #include <tuple>
 #include <vector>
 
+#include "core/greedy.h"
 #include "core/query_key.h"
-#include "core/spread_decrease_engine.h"
-#include "core/unified_instance.h"
 
 namespace vblock {
-
-/// One warmed solve context: the unified instance and an engine whose pool
-/// was built (and is kept restored) against inst->graph. Heap-allocated
-/// members: the engine holds references into *inst, so neither may move.
-struct WarmEntry {
-  std::unique_ptr<UnifiedInstance> inst;
-  std::unique_ptr<SpreadDecreaseEngine> engine;
-  /// Byte account at last insertion (engine + unified graph, including its
-  /// grouped view once the skip sampler has built one).
-  uint64_t bytes = 0;
-
-  /// Recomputes `bytes` from the current engine/instance state.
-  void AccountBytes() {
-    bytes = engine ? engine->MemoryUsageBytes() : 0;
-    if (inst) {
-      bytes += inst->graph.MemoryUsageBytes() +
-               inst->graph.GroupedViewMemoryUsageBytes() +
-               (inst->to_original.capacity() + inst->to_unified.capacity()) *
-                   sizeof(VertexId);
-    }
-  }
-};
 
 /// Thread-safe sharded LRU cache of WarmEntry values under a byte budget.
 class PoolCache {

@@ -6,9 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/advanced_greedy.h"
-#include "core/greedy_replace.h"
-#include "core/spread_decrease_engine.h"
+#include "core/greedy.h"
 #include "core/unified_instance.h"
 #include "graph/graph_delta.h"
 #include "graph/prob_grouped_view.h"
@@ -29,16 +27,6 @@ double EffectiveTimeLimit(double solver_limit, double deadline_remaining) {
   if (deadline_remaining <= 0) return solver_limit;
   if (solver_limit <= 0) return deadline_remaining;
   return std::min(solver_limit, deadline_remaining);
-}
-
-SolverOptions ResolveSolverOptions(const QueryKey& key, uint32_t budget,
-                                   uint32_t engine_threads,
-                                   double time_limit_seconds) {
-  // The shared key→options inverse, plus the request-deadline-derived time
-  // limit (which may be tighter than the key's own).
-  SolverOptions opts = SolverOptionsForKey(key, budget, engine_threads);
-  opts.time_limit_seconds = time_limit_seconds;
-  return opts;
 }
 
 }  // namespace
@@ -468,14 +456,17 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
   const double time_limit =
       EffectiveTimeLimit(key.time_limit_seconds, remaining);
 
+  // The shared key→options inverse, plus the request-deadline-derived
+  // time limit (which may be tighter than the key's own).
+  SolverOptions opts =
+      SolverOptionsForKey(key, comp.key.budget, options_.defaults.threads);
+  opts.time_limit_seconds = time_limit;
   std::optional<PoolCache::Key> pool_key =
       PoolCache::KeyFor(comp.snapshot->epoch, key);
   if (!pool_key.has_value() || comp.key.budget == 0) {
     // Heuristics, BaselineGreedy, and trivial budgets: no warmable pool —
     // the standalone facade already is the cheapest path. It allocates the
     // trace itself; only the wire-visible id comes from the service.
-    SolverOptions opts = ResolveSolverOptions(
-        key, comp.key.budget, options_.defaults.threads, time_limit);
     opts.trace = comp.trace;
     Result<SolverResult> result =
         SolveImin(comp.snapshot->graph, key.seeds, opts);
@@ -485,108 +476,20 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
     }
     return result;
   }
-  return ComputeWithEngine(comp, *pool_key, time_limit);
-}
 
-Result<SolverResult> QueryService::ComputeWithEngine(
-    const Computation& comp, const PoolCache::Key& pool_key,
-    double time_limit_seconds) {
-  const QueryKey& key = comp.key.query;
-  const bool is_gr = key.algorithm == Algorithm::kGreedyReplace;
-  Timer timer;
-  Deadline deadline(time_limit_seconds);
-
-  std::shared_ptr<obs::SolveTrace> trace_ptr;
+  // AG/GR: the one solve path on this key's cached entry, or on a fresh
+  // one (unified and built inside SolveGreedy) on a miss.
+  Deadline deadline(time_limit);
+  std::shared_ptr<obs::SolveTrace> trace;
   if (comp.trace) {
-    trace_ptr = std::make_shared<obs::SolveTrace>();
-    trace_ptr->set_id(trace_seq_.fetch_add(1, std::memory_order_relaxed));
+    trace = std::make_shared<obs::SolveTrace>();
+    trace->set_id(trace_seq_.fetch_add(1, std::memory_order_relaxed));
   }
-  obs::SolveTrace* const trace = trace_ptr.get();
-
-  std::unique_ptr<WarmEntry> entry = cache_.Acquire(pool_key);
-  const bool cold = entry == nullptr;
-  if (cold) {
-    entry = std::make_unique<WarmEntry>();
-    obs::ScopedSpan span(trace, obs::SolveStage::kUnify);
-    entry->inst = std::make_unique<UnifiedInstance>(
-        UnifySeeds(comp.snapshot->graph, key.seeds, key.vertex_order));
-  }
-  const UnifiedInstance& inst = *entry->inst;
-
-  if (is_gr && inst.graph.OutDegree(inst.root) == 0) {
-    // Mirror the standalone GreedyReplace early-out: a sink super-seed
-    // spreads nowhere, so no pool is built and the answer is empty. A warm
-    // entry (possibly built for AG) goes straight back.
-    if (!cold) cache_.Release(pool_key, std::move(entry));
-    SolverResult result;
-    result.trace = trace_ptr;
-    result.stats.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-
-  double build_seconds = 0;
-  if (cold) {
-    SpreadDecreaseOptions sd;
-    sd.theta = key.theta;
-    sd.seed = key.seed;
-    sd.threads = options_.defaults.threads;
-    sd.sample_reuse = key.sample_reuse;
-    sd.sampler_kind = key.sampler_kind;
-    // pool_build_seconds clock reads happen on the cold path only: a warm
-    // hit gains zero reads, which is what anchors the ≤2% trace-off
-    // overhead contract on the warm solve.
-    const double build_begin = timer.ElapsedSeconds();
-    entry->engine = std::make_unique<SpreadDecreaseEngine>(inst.graph,
-                                                           inst.root, sd);
-    entry->engine->set_trace(trace);
-    if (!entry->engine->Build(deadline)) {
-      // Timed out mid-build: the standalone algorithms return an empty,
-      // timed_out-flagged result. The half-built engine is discarded.
-      SolverResult result;
-      result.trace = trace_ptr;
-      result.stats.timed_out = true;
-      result.stats.pool_build_seconds = timer.ElapsedSeconds() - build_begin;
-      result.stats.seconds = timer.ElapsedSeconds();
-      return result;
-    }
-    build_seconds = timer.ElapsedSeconds() - build_begin;
-  } else {
-    entry->engine->set_trace(trace);
-  }
-
-  BlockerSelection sel;
-  if (is_gr) {
-    GreedyReplaceOptions gr;
-    gr.budget = comp.key.budget;
-    gr.theta = key.theta;
-    gr.seed = key.seed;
-    gr.threads = options_.defaults.threads;
-    gr.time_limit_seconds = time_limit_seconds;
-    gr.sample_reuse = key.sample_reuse;
-    gr.sampler_kind = key.sampler_kind;
-    gr.trace = trace;
-    sel = GreedyReplaceWithEngine(entry->engine.get(), gr, deadline);
-  } else {
-    AdvancedGreedyOptions ag;
-    ag.budget = comp.key.budget;
-    ag.theta = key.theta;
-    ag.seed = key.seed;
-    ag.threads = options_.defaults.threads;
-    ag.time_limit_seconds = time_limit_seconds;
-    ag.sample_reuse = key.sample_reuse;
-    ag.sampler_kind = key.sampler_kind;
-    ag.trace = trace;
-    sel = AdvancedGreedyWithEngine(entry->engine.get(), ag, deadline);
-  }
-
-  SolverResult result;
-  result.blockers = inst.BlockersToOriginal(sel.blockers);
-  result.stats = sel.stats;
-  result.stats.selection_trace =
-      inst.BlockersToOriginal(sel.stats.selection_trace);
-  result.stats.pool_build_seconds = build_seconds;
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.trace = trace_ptr;
+  std::unique_ptr<WarmEntry> entry = cache_.Acquire(*pool_key);
+  if (entry == nullptr) entry = std::make_unique<WarmEntry>();
+  SolverResult result = SolveGreedy(comp.snapshot->graph, key.seeds, opts,
+                                    deadline, trace.get(), entry.get());
+  result.trace = std::move(trace);
 
   // Check the engine back in restored to its freshly built state — the
   // next request for this key skips the θ-sample build entirely. The
@@ -595,19 +498,21 @@ Result<SolverResult> QueryService::ComputeWithEngine(
   // repeated SOLVE race the checkin and miss, breaking the deterministic
   // warm-hit contract the cache exists for. The cost is bounded by the
   // samples this run touched (O(θ) only for GR under kResample, whose
-  // unblocks refresh the whole pool). A deadline latch mid-run poisons
-  // the engine (partial update); such entries are dropped rather than
-  // cached. Restoration runs without a deadline: a poisoned cache entry
-  // would silently break the determinism contract.
-  if (!entry->engine->timed_out() && entry->engine->Restore()) {
+  // unblocks refresh the whole pool). An entry without an engine (GR on a
+  // sink seed, cold) is not cached. A deadline latch mid-build or mid-run
+  // poisons the engine (partial update); such entries are dropped rather
+  // than cached. Restoration runs without a deadline: a poisoned cache
+  // entry would silently break the determinism contract.
+  SpreadDecreaseEngine* const engine = entry->engine.get();
+  if (engine != nullptr && !engine->timed_out() && engine->Restore()) {
     // Restore above still ran traced (its kRestore span belongs to this
     // request); the pointer MUST clear before the engine outlives the
     // request's trace in the cache.
-    entry->engine->set_trace(nullptr);
+    engine->set_trace(nullptr);
     // Cached entries must not pin idle OS threads or per-thread scratch;
     // the engine re-spawns its workers lazily when next needed.
-    entry->engine->ReleaseThreads();
-    cache_.Release(pool_key, std::move(entry));
+    engine->ReleaseThreads();
+    cache_.Release(*pool_key, std::move(entry));
   }
   return result;
 }

@@ -294,9 +294,6 @@ class QueryService {
 
   void Execute(const std::shared_ptr<Computation>& comp);
   Result<SolverResult> Compute(const Computation& comp);
-  Result<SolverResult> ComputeWithEngine(const Computation& comp,
-                                         const PoolCache::Key& pool_key,
-                                         double time_limit_seconds);
 
   // Registers every metric the service exports — called once from the
   // constructor so the METRICS name set is fixed at construction (the

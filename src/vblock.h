@@ -72,7 +72,6 @@
 #include "sampling/world_enumerator.h"
 
 // core algorithms
-#include "core/advanced_greedy.h"
 #include "core/baseline_greedy.h"
 #include "core/batch_solver.h"
 #include "core/betweenness.h"
@@ -80,7 +79,7 @@
 #include "core/edge_blocking.h"
 #include "core/evaluator.h"
 #include "core/exact_blocker.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/heuristics.h"
 #include "core/query_key.h"
 #include "core/sample_size.h"

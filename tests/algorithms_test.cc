@@ -6,10 +6,9 @@
 #include <algorithm>
 
 #include "cascade/exact_spread.h"
-#include "core/advanced_greedy.h"
 #include "core/baseline_greedy.h"
 #include "core/evaluator.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/solver.h"
 #include "core/unified_instance.h"
 #include "gen/generators.h"
@@ -72,7 +71,7 @@ TEST(AdvancedGreedyTest, TableIIIBudget2PicksV5ThenOutNeighbor) {
 TEST(AdvancedGreedyTest, RoundDeltasAreRecorded) {
   Graph g = PaperFigure1Graph();
   UnifiedInstance inst = UnifySeeds(g, {testing::kV1});
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = 2;
   opts.theta = 20000;
   opts.seed = 7;
@@ -86,7 +85,7 @@ TEST(AdvancedGreedyTest, RoundDeltasAreRecorded) {
 TEST(AdvancedGreedyTest, BudgetExceedingCandidatesStops) {
   Graph g = testing::PathGraph(3, 1.0);
   UnifiedInstance inst = UnifySeeds(g, {0});
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = 10;
   opts.theta = 100;
   auto sel = AdvancedGreedy(inst.graph, inst.root, opts);
@@ -98,7 +97,7 @@ TEST(AdvancedGreedyTest, DeadlineReturnsPartialResult) {
   // 0.2s (the pre-pool implementation timed out on a tenth of this size).
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(50000, 4, 3));
   UnifiedInstance inst = UnifySeeds(g, {0});
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = 100000;  // far more than feasible
   opts.theta = 20000;
   opts.time_limit_seconds = 0.2;
@@ -159,7 +158,7 @@ TEST(GreedyReplaceTest, EarlyTerminationOnStableBlocker) {
   // re-selects the removed vertex and the loop stops.
   Graph g = testing::StarGraph(10, 1.0);
   UnifiedInstance inst = UnifySeeds(g, {0});
-  GreedyReplaceOptions opts;
+  GreedyOptions opts;
   opts.budget = 3;
   opts.theta = 500;
   opts.seed = 11;
@@ -184,7 +183,7 @@ TEST(GreedyReplaceTest, NeverWorseThanPureOutNeighborChoice) {
 
   // Pure out-neighbor baseline: block up to b out-neighbors greedily by Δ.
   UnifiedInstance inst = UnifySeeds(g, seeds);
-  GreedyReplaceOptions on_opts;
+  GreedyOptions on_opts;
   on_opts.budget = 3;
   on_opts.theta = 4000;
   on_opts.seed = 12;
@@ -341,7 +340,7 @@ TEST(GreedyReplaceTest, ReplacementCounterTracksSwaps) {
   // so exactly one replacement must be recorded.
   Graph g = PaperFigure1Graph();
   UnifiedInstance inst = UnifySeeds(g, {testing::kV1});
-  GreedyReplaceOptions opts;
+  GreedyOptions opts;
   opts.budget = 1;
   opts.theta = 20000;
   opts.seed = 33;

@@ -164,6 +164,31 @@ TEST(BatchSolverTest, GreedyReplaceGroupBuildsOnePoolUnderPrune) {
   EXPECT_EQ(resample.stats.engine_builds, 1u);
 }
 
+// A GR group over a sink seed set answers every member with the empty set
+// and builds no θ-sample pool.
+TEST(BatchSolverTest, GreedyReplaceOnSinkSeedsBuildsNoPool) {
+  Graph g = testing::StarGraph(12, 0.5);
+  BatchOptions options;
+  options.defaults.theta = 200;
+  options.defaults.seed = 5;
+
+  std::vector<IminQuery> queries;
+  for (uint32_t budget : {0u, 1u, 3u}) {
+    IminQuery q;
+    q.seeds = {7, 3};
+    q.budget = budget;
+    q.algorithm = Algorithm::kGreedyReplace;
+    queries.push_back(std::move(q));
+  }
+  BatchResult batch = SolveIminBatch(g, queries, options);
+  ExpectBitExactWithStandalone(g, queries, options, batch);
+  EXPECT_EQ(batch.stats.num_groups, 1u);
+  EXPECT_EQ(batch.stats.engine_builds, 0u);
+  for (const BatchQueryResult& q : batch.queries) {
+    EXPECT_TRUE(q.result.blockers.empty());
+  }
+}
+
 // The BG sweep relies on per-round MC seed streams being independent of
 // the budget; verified against standalone solves on the paper's toy graph.
 TEST(BatchSolverTest, BaselineGreedySweepMatchesIndependentSolves) {

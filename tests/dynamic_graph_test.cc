@@ -11,15 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "cascade/triggering.h"
 #include "common/rng.h"
 #include "core/spread_decrease_engine.h"
 #include "core/unified_instance.h"
 #include "gen/generators.h"
+#include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
 #include "graph/prob_grouped_view.h"
 #include "prob/probability_models.h"
@@ -461,6 +464,110 @@ void RunMigrationStream(SampleReuse reuse, uint32_t threads, uint32_t n,
     ExpectSamplesIdentical(warm, cold, u + 100);  // post-restore states
 
     current = std::move(*next);
+  }
+}
+
+// Half-strength weighted cascade: every in-edge of v weighs 0.5/din(v), so
+// the in-weights sum to 0.5 — valid LT weights with room for one more
+// in-edge.
+Graph HalfCascade(const Graph& g) {
+  GraphBuilder builder;
+  builder.ReserveVertices(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    for (VertexId u : g.InNeighbors(v)) {
+      builder.AddEdge(u, v, 0.5 / static_cast<double>(g.InDegree(v)));
+    }
+  }
+  Result<Graph> built = builder.Build();
+  VBLOCK_CHECK(built.ok());
+  return std::move(*built);
+}
+
+bool SampleContains(const SampledGraph& s, VertexId v) {
+  return std::find(s.to_parent.begin(), s.to_parent.end(), v) !=
+         s.to_parent.end();
+}
+
+// Inserting an edge (u, v) changes u's out-row and v's in-row. An IC draw
+// reads only the out-rows of region vertices, so an IC pool re-derives
+// exactly the samples that contain u. A triggering (LT) draw also reads
+// v's in-row whenever it reaches an in-neighbour of v — it draws v's
+// trigger set whether or not v turns live — so an LT pool re-derives every
+// sample that holds u, v or any in-neighbour of v. Either way the migrated
+// pool equals a cold build on the mutated graph.
+TEST(MigrationDirtySetTest, DirtiesExactlyTheSamplesThatReadAChangedRow) {
+  const Graph base = HalfCascade(GenerateBarabasiAlbert(300, 3, 5));
+  const VertexId root = 0;
+  SpreadDecreaseOptions opts = EngineOptions(200, 17, SampleReuse::kPrune);
+  opts.sampler_kind = SamplerKind::kPerEdgeCoin;
+
+  for (const bool lt : {false, true}) {
+    SCOPED_TRACE(lt ? "LT" : "IC");
+    Graph g = base;
+    const LtTriggeringModel base_model(base);
+    SpreadDecreaseEngine engine(g, root, opts, lt ? &base_model : nullptr);
+    ASSERT_TRUE(engine.Build());
+    auto holds_any = [&](uint32_t i, std::span<const VertexId> vs) {
+      for (VertexId x : vs) {
+        if (SampleContains(engine.PoolSample(i), x)) return true;
+      }
+      return false;
+    };
+
+    // u: the non-root vertex in the most samples. v: the first vertex not
+    // adjacent from u or the root such that some sample holds an
+    // in-neighbour of v but neither u nor v — a sample only the in-row
+    // rule dirties.
+    std::vector<uint32_t> count(g.NumVertices(), 0);
+    for (uint32_t i = 0; i < engine.theta(); ++i) {
+      for (VertexId x : engine.PoolSample(i).to_parent) ++count[x];
+    }
+    const VertexId u = static_cast<VertexId>(
+        std::max_element(count.begin() + 1, count.end()) - count.begin());
+    auto adjacent = [&](VertexId from, VertexId to) {
+      const auto out = g.OutNeighbors(from);
+      return std::find(out.begin(), out.end(), to) != out.end();
+    };
+    VertexId v = kInvalidVertex;
+    for (VertexId x = 1; x < g.NumVertices() && v == kInvalidVertex; ++x) {
+      if (x == u || adjacent(u, x) || adjacent(root, x)) continue;
+      const VertexId ux[] = {u, x};
+      for (uint32_t i = 0; i < engine.theta(); ++i) {
+        if (holds_any(i, g.InNeighbors(x)) && !holds_any(i, ux)) {
+          v = x;
+          break;
+        }
+      }
+    }
+    ASSERT_NE(v, kInvalidVertex);
+
+    GraphDelta delta;
+    delta.insert_edges.push_back({u, v, 0.25});
+    Result<Graph> next = ApplyDelta(base, delta);
+    ASSERT_TRUE(next.ok());
+    std::vector<VertexId> changed_out, changed_in;
+    ComputeChangedRows(base, *next, &changed_out, &changed_in);
+    EXPECT_EQ(changed_out, std::vector<VertexId>{u});
+    EXPECT_EQ(changed_in, std::vector<VertexId>{v});
+
+    std::vector<VertexId> readers = {u};
+    if (lt) {
+      readers.push_back(v);
+      for (VertexId w : next->InNeighbors(v)) readers.push_back(w);
+    }
+    uint32_t expected = 0;
+    for (uint32_t i = 0; i < engine.theta(); ++i) {
+      expected += holds_any(i, readers) ? 1 : 0;
+    }
+
+    g = std::move(*next);  // in place: the engine holds a reference to g
+    EXPECT_EQ(engine.MigrateGraph(changed_out, changed_in), expected);
+
+    const LtTriggeringModel model(g);
+    SpreadDecreaseEngine cold(g, root, opts, lt ? &model : nullptr);
+    ASSERT_TRUE(cold.Build());
+    ExpectSamplesIdentical(engine, cold, 0);
+    EXPECT_EQ(engine.Scores().delta, cold.Scores().delta);
   }
 }
 

@@ -5,11 +5,10 @@
 
 #include "cascade/exact_spread.h"
 #include "cascade/monte_carlo.h"
-#include "core/advanced_greedy.h"
 #include "core/baseline_greedy.h"
 #include "core/evaluator.h"
 #include "core/exact_blocker.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/solver.h"
 #include "core/spread_decrease.h"
 #include "core/unified_instance.h"
@@ -147,7 +146,7 @@ TEST(EdgeCaseTest, AdvancedGreedyOnIsolatedSeedPicksZeroDeltas) {
   auto built = b.Build();
   ASSERT_TRUE(built.ok());
   UnifiedInstance inst = UnifySeeds(*built, {0});
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = 2;
   opts.theta = 50;
   auto sel = AdvancedGreedy(inst.graph, inst.root, opts);
@@ -232,7 +231,7 @@ TEST(EdgeCaseTest, GreedyReplaceBudgetOneOutNeighborOne) {
   // Root with exactly one out-neighbor and nothing else: GR must block it.
   Graph g = testing::PathGraph(3, 1.0);
   UnifiedInstance inst = UnifySeeds(g, {0});
-  GreedyReplaceOptions opts;
+  GreedyOptions opts;
   opts.budget = 1;
   opts.theta = 50;
   auto sel = GreedyReplace(inst.graph, inst.root, opts);

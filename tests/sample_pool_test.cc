@@ -11,9 +11,8 @@
 #include <cstdlib>
 #include <new>
 
-#include "core/advanced_greedy.h"
 #include "core/edge_blocking.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
 #include "domtree/dominator_tree.h"
@@ -213,12 +212,12 @@ TEST(SamplePoolEngineTest, PruneModeUnblockRestoresInitialScoresExactly) {
 TEST(SamplePoolEngineTest, GreedyBlockersInvariantAcrossThreadCounts) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(300, 3, 5));
   for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
-    AdvancedGreedyOptions ag;
+    GreedyOptions ag;
     ag.budget = 6;
     ag.theta = 800;
     ag.seed = 41;
     ag.sample_reuse = reuse;
-    GreedyReplaceOptions gr;
+    GreedyOptions gr;
     gr.budget = 4;
     gr.theta = 600;
     gr.seed = 43;
@@ -243,7 +242,7 @@ TEST(SamplePoolEngineTest, GreedyBlockersInvariantAcrossThreadCounts) {
 TEST(SamplePoolEngineTest, TriggeringBlockersInvariantAcrossThreadCounts) {
   Graph g = WithWeightedCascade(GenerateErdosRenyi(150, 900, 13));
   IcTriggeringModel ic;
-  AdvancedGreedyOptions ag;
+  GreedyOptions ag;
   ag.budget = 4;
   ag.theta = 500;
   ag.seed = 47;
@@ -265,7 +264,7 @@ TEST(SamplePoolEngineTest, DeadlineExpiresInsideBuildThetaLoop) {
   EXPECT_FALSE(engine.Build(Deadline(0.02)));
   EXPECT_TRUE(engine.timed_out());
 
-  AdvancedGreedyOptions ag;
+  GreedyOptions ag;
   ag.budget = 5;
   ag.theta = 500000;  // a θ-loop far beyond the deadline
   ag.time_limit_seconds = 0.02;
@@ -284,7 +283,7 @@ TEST(SamplePoolEngineTest, GreedyReplaceSkipsRootSelfLoopCandidate) {
   builder.AddEdge(1, 2, 0.5);
   auto g = builder.Build();
   ASSERT_TRUE(g.ok());
-  GreedyReplaceOptions opts;
+  GreedyOptions opts;
   opts.budget = 3;
   opts.theta = 200;
   opts.seed = 2;
@@ -295,12 +294,12 @@ TEST(SamplePoolEngineTest, GreedyReplaceSkipsRootSelfLoopCandidate) {
 
 TEST(SamplePoolEngineTest, ZeroBudgetAndSinkSeedSkipPoolBuild) {
   Graph g = PathGraph(8, 1.0);
-  AdvancedGreedyOptions ag;
+  GreedyOptions ag;
   ag.budget = 0;
   ag.theta = 1000000;  // would take noticeable time if the pool were built
   EXPECT_TRUE(AdvancedGreedy(g, 0, ag).blockers.empty());
 
-  GreedyReplaceOptions gr;
+  GreedyOptions gr;
   gr.budget = 5;
   gr.theta = 1000000;
   // Vertex 7 is a sink: no out-neighbors, phase 1 has no candidates.
@@ -352,15 +351,10 @@ TEST(SamplePoolEngineTest, RestoreReturnsEngineToFreshBuildBitExactly) {
       }
 
       // And the restored engine replays a full greedy run identically.
-      AdvancedGreedyOptions ag;
-      ag.budget = 5;
-      ag.theta = 500;
-      ag.seed = 23;
-      ag.sample_reuse = reuse;
       BlockerSelection from_fresh =
-          AdvancedGreedyWithEngine(&fresh, ag, Deadline());
+          AdvancedGreedyWithEngine(&fresh, /*budget=*/5, Deadline(), nullptr);
       BlockerSelection from_restored =
-          AdvancedGreedyWithEngine(&used, ag, Deadline());
+          AdvancedGreedyWithEngine(&used, /*budget=*/5, Deadline(), nullptr);
       EXPECT_EQ(from_fresh.blockers, from_restored.blockers);
       EXPECT_EQ(from_fresh.stats.round_best_delta,
                 from_restored.stats.round_best_delta);

@@ -23,6 +23,7 @@
 #include "service/pool_cache.h"
 #include "service/protocol.h"
 #include "service/query_service.h"
+#include "testing/toy_graphs.h"
 
 namespace vblock {
 namespace {
@@ -571,6 +572,81 @@ TEST(QueryServiceTest, PoolLedgerBalancesAcrossMigrationsAndEvictions) {
   service.pool_cache().EvictAll();
   expect_ledger("after EvictAll");
   EXPECT_EQ(service.pool_cache().stats().entries, 0u);
+}
+
+// A build that hits its time limit leaves a timed-out engine behind; the
+// service answers timed_out with no blockers and never caches it.
+TEST(QueryServiceTest, TimedOutBuildIsNeverCached) {
+  GraphRegistry registry;
+  auto snapshot = registry.Add(
+      "g", WithWeightedCascade(GenerateBarabasiAlbert(20000, 4, 3)));
+  ASSERT_GT(snapshot->graph.OutDegree(0), 0u);
+  QueryService service(&registry, FastOptions());
+  ASSERT_TRUE(service
+                  .SubmitAndWait(
+                      MakeRequest({0}, 2, Algorithm::kAdvancedGreedy))
+                  .ok());
+  const PoolCache::Stats before = service.pool_cache().stats();
+  ASSERT_EQ(before.entries, 1u);
+
+  for (Algorithm algorithm :
+       {Algorithm::kAdvancedGreedy, Algorithm::kGreedyReplace}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    IminRequest request = MakeRequest({0}, 2, algorithm);
+    request.query.theta = 200000;  // a θ-loop far beyond the time limit
+    request.query.time_limit_seconds = 0.05;
+    Result<SolverResult> result = service.SubmitAndWait(request);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->stats.timed_out);
+    EXPECT_TRUE(result->blockers.empty());
+  }
+
+  const PoolCache::Stats after = service.pool_cache().stats();
+  EXPECT_EQ(after.misses, before.misses + 2);
+  EXPECT_EQ(after.inserts, before.inserts);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.entries,
+            after.inserts - after.hits - after.evictions - after.migrations);
+}
+
+// GR on a sink seed set (no seed has an out-edge to a non-seed) answers
+// the empty set without building a pool. Cold, nothing is cached; on a key
+// an AG request already warmed, the entry is checked out and back in.
+TEST(QueryServiceTest, GreedyReplaceOnSinkSeedsBuildsNothing) {
+  GraphRegistry registry;
+  auto snapshot = registry.Add("g", testing::StarGraph(12, 0.5));
+  QueryService service(&registry, FastOptions());
+  const std::vector<VertexId> sinks = {3, 7};
+
+  SolverOptions standalone = FastOptions().defaults;
+  standalone.algorithm = Algorithm::kGreedyReplace;
+  standalone.budget = 2;
+  standalone.sample_reuse = SampleReuse::kPrune;
+  Result<SolverResult> want = SolveImin(snapshot->graph, sinks, standalone);
+  ASSERT_TRUE(want.ok());
+  EXPECT_TRUE(want->blockers.empty());
+
+  Result<SolverResult> cold =
+      service.SubmitAndWait(MakeRequest(sinks, 2, Algorithm::kGreedyReplace));
+  ASSERT_TRUE(cold.ok());
+  ExpectSameResult(*cold, *want);
+  EXPECT_EQ(service.pool_cache().stats().inserts, 0u);
+  EXPECT_EQ(service.pool_cache().stats().entries, 0u);
+
+  ASSERT_TRUE(service
+                  .SubmitAndWait(
+                      MakeRequest(sinks, 2, Algorithm::kAdvancedGreedy))
+                  .ok());
+  const PoolCache::Stats warmed = service.pool_cache().stats();
+  ASSERT_EQ(warmed.entries, 1u);
+
+  Result<SolverResult> warm =
+      service.SubmitAndWait(MakeRequest(sinks, 2, Algorithm::kGreedyReplace));
+  ASSERT_TRUE(warm.ok());
+  ExpectSameResult(*warm, *want);
+  const PoolCache::Stats after = service.pool_cache().stats();
+  EXPECT_EQ(after.hits, warmed.hits + 1);
+  EXPECT_EQ(after.entries, 1u);
 }
 
 // ----------------------------------------------- admission + deadlines ----

@@ -20,10 +20,9 @@
 #include "cascade/monte_carlo.h"
 #include "cascade/rr_sets.h"
 #include "cascade/triggering.h"
-#include "core/advanced_greedy.h"
 #include "core/betweenness.h"
 #include "core/evaluator.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
 #include "gen/dataset_catalog.h"
@@ -412,13 +411,13 @@ TEST(SkipSamplingDeterminismTest, GreedyBlockersInvariantAcrossThreadCounts) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 7));
   for (SamplerKind kind :
        {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
-    AdvancedGreedyOptions ag;
+    GreedyOptions ag;
     ag.budget = 5;
     ag.theta = 700;
     ag.seed = 41;
     ag.sample_reuse = SampleReuse::kPrune;
     ag.sampler_kind = kind;
-    GreedyReplaceOptions gr;
+    GreedyOptions gr;
     gr.budget = 4;
     gr.theta = 500;
     gr.seed = 43;
@@ -630,7 +629,7 @@ TEST(SkipSamplingAgreementTest, BlockedSpreadWithinTwoPercentAcrossKinds) {
   int slot = 0;
   for (SamplerKind kind :
        {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
-    AdvancedGreedyOptions ag;
+    GreedyOptions ag;
     ag.budget = 8;
     ag.theta = 3000;
     ag.seed = 51;

@@ -7,8 +7,7 @@
 #include <algorithm>
 
 #include "cascade/triggering.h"
-#include "core/advanced_greedy.h"
-#include "core/greedy_replace.h"
+#include "core/greedy.h"
 #include "core/unified_instance.h"
 #include "gen/generators.h"
 #include "prob/probability_models.h"
@@ -23,7 +22,7 @@ TEST(TriggeringAgTest, IcTriggeringPicksV5OnToyGraph) {
   Graph g = PaperFigure1Graph();
   UnifiedInstance inst = UnifySeeds(g, {testing::kV1});
   IcTriggeringModel ic;
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = 1;
   opts.theta = 20000;
   opts.seed = 3;
@@ -38,14 +37,14 @@ TEST(TriggeringGrTest, IcTriggeringMatchesIcSamplingChoice) {
   UnifiedInstance inst = UnifySeeds(g, {testing::kV1});
   IcTriggeringModel ic;
 
-  GreedyReplaceOptions with_trigger;
+  GreedyOptions with_trigger;
   with_trigger.budget = 2;
   with_trigger.theta = 20000;
   with_trigger.seed = 5;
   with_trigger.triggering_model = &ic;
   auto a = GreedyReplace(inst.graph, inst.root, with_trigger);
 
-  GreedyReplaceOptions plain = with_trigger;
+  GreedyOptions plain = with_trigger;
   plain.triggering_model = nullptr;
   auto b = GreedyReplace(inst.graph, inst.root, plain);
 
@@ -79,7 +78,7 @@ TEST(TriggeringGrTest, LtBlockingReducesLtSpread) {
   Graph lt_graph = std::move(fixed.value());
   LtTriggeringModel lt(lt_graph);
 
-  GreedyReplaceOptions opts;
+  GreedyOptions opts;
   opts.budget = 10;
   opts.theta = 3000;
   opts.seed = 7;
@@ -101,7 +100,7 @@ TEST(TriggeringAgTest, DeterministicInSeed) {
   Graph g = WithWeightedCascade(GenerateErdosRenyi(150, 900, 13));
   UnifiedInstance inst = UnifySeeds(g, {0, 1});
   IcTriggeringModel ic;
-  AdvancedGreedyOptions opts;
+  GreedyOptions opts;
   opts.budget = 5;
   opts.theta = 1000;
   opts.seed = 17;
