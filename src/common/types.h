@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace vblock {
 
@@ -22,5 +23,12 @@ inline constexpr VertexId kInvalidVertex = std::numeric_limits<VertexId>::max();
 
 /// Sentinel for "no edge".
 inline constexpr EdgeId kInvalidEdge = std::numeric_limits<EdgeId>::max();
+
+/// Heap bytes held by a vector's buffer (capacity, not size) — the unit
+/// of every MemoryUsageBytes account.
+template <typename T>
+uint64_t VectorBytes(const std::vector<T>& v) {
+  return static_cast<uint64_t>(v.capacity()) * sizeof(T);
+}
 
 }  // namespace vblock

@@ -88,11 +88,22 @@ struct SolverOptions {
   bool trace = false;
 };
 
+/// Which warm-pool path answered a query (the `pool=` field of a SOLVE
+/// response, service/protocol.h).
+enum class PoolOutcome : uint8_t {
+  kNone,  // no θ-sample pool was involved
+  kCold,  // an AG/GR solve that started without a cached engine
+  kWarm,  // a cached engine was checked out
+};
+
 /// Facade result: blockers in *original* vertex ids. stats.selection_trace
 /// is likewise mapped back to original ids.
 struct SolverResult {
   std::vector<VertexId> blockers;
   GreedyRunStats stats;
+  /// Set by the query service (service/query_service.h) per computation;
+  /// the one-shot entry points leave kNone.
+  PoolOutcome pool = PoolOutcome::kNone;
   /// Per-stage timing attribution; non-null iff SolverOptions::trace.
   std::shared_ptr<obs::SolveTrace> trace;
 };

@@ -204,6 +204,10 @@ uint64_t SpreadDecreaseEngine::MemoryUsageBytes() const {
   bytes += static_cast<uint64_t>(weight_.capacity()) * sizeof(uint8_t);
   bytes += static_cast<uint64_t>(delta_raw_.capacity()) * sizeof(double);
   bytes += static_cast<uint64_t>(dirty_.capacity()) * sizeof(uint32_t);
+  bytes += VectorBytes(workers_);
+  for (const Worker& w : workers_) {
+    bytes += w.scratch.MemoryUsageBytes() + w.scorer.MemoryUsageBytes();
+  }
   return bytes;
 }
 

@@ -51,6 +51,12 @@ struct SampleScorer {
 
   void Score(const SampledGraph& sample, std::span<const uint8_t> weight,
              std::vector<VertexId>* sizes);
+
+  /// Heap bytes of the reused buffers.
+  uint64_t MemoryUsageBytes() const {
+    return workspace.MemoryUsageBytes() + VectorBytes(tree.idom) +
+           VectorBytes(local_weight);
+  }
 };
 
 /// Incremental Δ estimator consumed by AdvancedGreedy / GreedyReplace,
@@ -151,12 +157,13 @@ class SpreadDecreaseEngine {
   /// incremental aggregate against from-scratch scoring of these).
   const SampledGraph& PoolSample(uint32_t i) const { return pool_.sample(i); }
 
-  /// Heap bytes held by the engine: the pool (with both masks) plus the
-  /// per-sample subtree size caches, the vertex weights and the score
-  /// vector. Per-worker scratch (samplers, dominator workspaces) is not
-  /// walked — ReleaseThreads trims it to one worker's set before an engine
-  /// is cached, bounding the omission to O(largest sample region). Feeds the warm-pool cache's byte budget
-  /// (service/pool_cache.h).
+  /// Heap bytes held by the engine: the pool (with both masks), the
+  /// per-sample subtree size caches, the vertex weights, the score vector
+  /// and every live worker's scratch — its sampler's O(n) visitation
+  /// arrays, prune buffers and dominator workspace. ReleaseThreads trims
+  /// the workers to one before an engine is cached, so a parked engine
+  /// still holds one O(n) scratch set. Feeds the warm-pool cache's byte
+  /// budget (service/pool_cache.h).
   uint64_t MemoryUsageBytes() const;
 
   /// Joins and drops the engine's worker threads AND the extra per-thread

@@ -89,6 +89,18 @@ DominatorTree ComputeDominatorTreeNaive(const FlatGraphView& g,
   return tree;
 }
 
+uint64_t DominatorWorkspace::MemoryUsageBytes() const {
+  uint64_t bytes = VectorBytes(dfn_) + VectorBytes(vertex_) +
+                   VectorBytes(kid_) + VectorBytes(order_);
+  for (const std::vector<uint32_t>* v :
+       {&parent_, &semi_, &label_, &ancestor_, &dom_, &bucket_head_,
+        &bucket_next_, &pred_begin_, &pred_cursor_, &pred_, &dfs_stack_v_,
+        &dfs_stack_k_, &compress_stack_, &kid_begin_, &kid_cursor_}) {
+    bytes += VectorBytes(*v);
+  }
+  return bytes;
+}
+
 // Top-down BFS order of the dominator tree (root first) into order_;
 // reverse iteration folds every vertex into its idom after all its
 // descendants. Children are laid out as a CSR over reused buffers so

@@ -59,6 +59,10 @@ class DominatorWorkspace {
                                std::vector<VertexId>* sizes,
                                std::span<const uint8_t> weight = {});
 
+  /// Heap bytes of the working arrays (grow-only, so this is the high-water
+  /// mark of the regions computed so far).
+  uint64_t MemoryUsageBytes() const;
+
  private:
   // Top-down BFS order of the dominator tree via a CSR children layout;
   // fills order_. Implemented in dominator_tree.cc.

@@ -96,29 +96,29 @@ struct TcpServer::Connection {
 TcpServer::TcpServer(GraphRegistry* registry, QueryService* service,
                      const TcpServerOptions& options)
     : registry_(registry), service_(service), options_(options),
-      mailbox_(std::make_shared<Mailbox>()) {
+      mailbox_(std::make_shared<Mailbox>()),
+      // Re-Gets of the cells the service registered (with their HELP
+      // text) at construction.
+      connections_total_(
+          service->metrics().GetCounter("vblock_net_connections_total", "")),
+      active_(service->metrics().GetGauge("vblock_net_active", "")),
+      bytes_in_(service->metrics().GetCounter("vblock_net_bytes_in_total", "")),
+      bytes_out_(
+          service->metrics().GetCounter("vblock_net_bytes_out_total", "")),
+      lines_(service->metrics().GetCounter("vblock_net_lines_total", "")),
+      errors_(service->metrics().GetCounter("vblock_net_errors_total", "")) {
   mailbox_->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  // One stats source on the shared service (not one augmenter per
-  // connection session): every STATS response and the pre-registered
-  // vblock_net_* metrics read the server's totals through it.
-  service_->set_net_stats_source([this](ServiceStats* s) {
-    const TcpServerStats t = stats();
-    s->net_connections = t.connections;
-    s->net_active = t.active;
-    s->net_bytes_in = t.bytes_in;
-    s->net_bytes_out = t.bytes_out;
-    s->net_lines = t.lines;
-    s->net_errors = t.errors;
-  });
 }
 
 TcpServer::~TcpServer() {
-  // The source captures `this`; the service outlives the server
-  // (vblock_serve destroys the server first), so it MUST be cleared here.
-  service_->set_net_stats_source(nullptr);
+  // Run() closes every connection through CloseConnection before it
+  // returns; connections still open here (Run never ran, or failed) are
+  // closed directly and leave the active gauge too.
   for (auto& [fd, conn] : connections_) {
-    if (conn->fd >= 0) ::close(conn->fd);
+    if (conn->fd < 0) continue;
+    ::close(conn->fd);
     conn->fd = -1;
+    active_->Add(-1);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -236,7 +236,7 @@ int TcpServer::Run() {
         // EPOLLHUP with unread data still delivers EPOLLIN first under
         // level triggering, but a hard error ends the conversation.
         if ((mask & EPOLLERR) != 0) {
-          errors_.fetch_add(1, std::memory_order_relaxed);
+          errors_->Increment();
           CloseConnection(conn);
           continue;
         }
@@ -289,12 +289,12 @@ void TcpServer::Accept() {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      errors_->Increment();
       return;
     }
     if (connections_.size() >=
         static_cast<size_t>(options_.max_connections)) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      errors_->Increment();
       ::close(fd);
       continue;
     }
@@ -308,14 +308,14 @@ void TcpServer::Accept() {
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      errors_->Increment();
       ::close(fd);
       continue;
     }
     conn->epoll_mask = EPOLLIN;
     connections_[fd] = conn;
-    total_connections_.fetch_add(1, std::memory_order_relaxed);
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
+    connections_total_->Increment();
+    active_->Add(1);
   }
 }
 
@@ -327,8 +327,7 @@ void TcpServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
   while (budget > 0 && !conn->read_paused) {
     const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
-      bytes_in_.fetch_add(static_cast<uint64_t>(n),
-                          std::memory_order_relaxed);
+      bytes_in_->Increment(static_cast<uint64_t>(n));
       conn->framer.Append(buffer, static_cast<size_t>(n));
       budget -= static_cast<size_t>(n) < budget
                     ? static_cast<size_t>(n)
@@ -343,7 +342,7 @@ void TcpServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_->Increment();
     CloseConnection(conn);
     return;
   }
@@ -354,7 +353,7 @@ void TcpServer::PullLines(const std::shared_ptr<Connection>& conn) {
   PendingLine line;
   while (conn->pending.size() < options_.max_queued_lines &&
          conn->framer.Next(&line.text, &line.overlong)) {
-    lines_.fetch_add(1, std::memory_order_relaxed);
+    lines_->Increment();
     conn->pending.push_back(std::move(line));
   }
   if (conn->peer_eof && conn->pending.size() < options_.max_queued_lines) {
@@ -362,7 +361,7 @@ void TcpServer::PullLines(const std::shared_ptr<Connection>& conn) {
     // command (same contract as the stdin REPL at EOF).
     while (conn->framer.Next(&line.text, &line.overlong) ||
            conn->framer.TakeFinal(&line.text, &line.overlong)) {
-      lines_.fetch_add(1, std::memory_order_relaxed);
+      lines_->Increment();
       conn->pending.push_back(std::move(line));
     }
   }
@@ -405,7 +404,7 @@ void TcpServer::Pump(std::shared_ptr<Connection> conn) {
       conn->busy = false;
       if (!response.empty()) {
         if (response.compare(0, 3, "ERR") == 0) {
-          errors_.fetch_add(1, std::memory_order_relaxed);
+          errors_->Increment();
         }
         conn->out += response;
         conn->out += '\n';
@@ -433,13 +432,12 @@ void TcpServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
                conn->out.size() - conn->out_off, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_off += static_cast<size_t>(n);
-      bytes_out_.fetch_add(static_cast<uint64_t>(n),
-                           std::memory_order_relaxed);
+      bytes_out_->Increment(static_cast<uint64_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n < 0 && errno == EINTR) continue;
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_->Increment();
     CloseConnection(conn);
     return;
   }
@@ -480,18 +478,7 @@ void TcpServer::CloseConnection(std::shared_ptr<Connection> conn) {
   ::close(conn->fd);
   connections_.erase(conn->fd);
   conn->fd = -1;
-  active_connections_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-TcpServerStats TcpServer::stats() const {
-  TcpServerStats out;
-  out.connections = total_connections_.load(std::memory_order_relaxed);
-  out.active = active_connections_.load(std::memory_order_relaxed);
-  out.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  out.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  out.lines = lines_.load(std::memory_order_relaxed);
-  out.errors = errors_.load(std::memory_order_relaxed);
-  return out;
+  active_->Add(-1);
 }
 
 }  // namespace vblock

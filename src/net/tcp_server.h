@@ -65,20 +65,11 @@ struct TcpServerOptions {
   double drain_grace_seconds = 10.0;
 };
 
-/// Point-in-time totals since Start(). Folded into every STATS response
-/// served over TCP (ServiceStats::net_*).
-struct TcpServerStats {
-  uint64_t connections = 0;  // accepts (excluding over-cap rejects)
-  uint32_t active = 0;       // currently open
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  uint64_t lines = 0;        // framed input lines (blank lines included)
-  uint64_t errors = 0;       // ERR replies + socket errors + rejects
-};
-
 /// The server. Borrows a registry/service pair shared by every
 /// connection (a graph LOADed by one client serves them all); both must
-/// outlive the server.
+/// outlive the server. Its traffic totals are recorded straight into the
+/// service's vblock_net_* registry cells (QueryService::metrics()), so
+/// STATS and METRICS report them and they outlive the server.
 class TcpServer {
  public:
   TcpServer(GraphRegistry* registry, QueryService* service,
@@ -101,7 +92,6 @@ class TcpServer {
   void RequestDrain();
 
   uint16_t port() const { return port_; }
-  TcpServerStats stats() const;
 
  private:
   struct Connection;
@@ -140,12 +130,14 @@ class TcpServer {
   std::map<int, std::shared_ptr<Connection>> connections_;
 
   std::atomic<bool> drain_requested_{false};
-  std::atomic<uint64_t> total_connections_{0};
-  std::atomic<uint32_t> active_connections_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-  std::atomic<uint64_t> lines_{0};
-  std::atomic<uint64_t> errors_{0};
+
+  // The service's vblock_net_* cells, recorded by the event loop.
+  obs::Counter* connections_total_;  // accepts (excluding over-cap rejects)
+  obs::Gauge* active_;               // currently open
+  obs::Counter* bytes_in_;
+  obs::Counter* bytes_out_;
+  obs::Counter* lines_;   // framed input lines (blank lines included)
+  obs::Counter* errors_;  // ERR replies + socket errors + rejects
 };
 
 }  // namespace vblock

@@ -2,6 +2,7 @@
 
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace vblock::obs {
@@ -89,6 +90,14 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     out.push_back(std::move(snap));
   }
   return out;
+}
+
+const MetricSnapshot* FindMetric(const std::vector<MetricSnapshot>& snapshot,
+                                 std::string_view name) {
+  auto it = std::lower_bound(
+      snapshot.begin(), snapshot.end(), name,
+      [](const MetricSnapshot& m, std::string_view n) { return m.name < n; });
+  return it != snapshot.end() && it->name == name ? &*it : nullptr;
 }
 
 MetricsRegistry& MetricsRegistry::Default() {

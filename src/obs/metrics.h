@@ -3,14 +3,13 @@
 // Unified metrics registry: named counters, gauges, and histograms with
 // cheap sharded-atomic recording and snapshot iteration.
 //
-// Before this layer, every component kept its own ad-hoc stats struct
-// (ServiceStats, TcpServerStats, PoolCache::Stats) and STATS responses
-// were hand-merged from all of them. The registry is the one place a
-// metric lives: components register instruments once (stable pointers,
-// recording is lock-free or shard-locked) or register a callback that
-// projects an existing ledger into the snapshot, and every consumer —
-// the STATS projection, the METRICS Prometheus exposition, tests — reads
-// the same cells. Totals therefore reconcile by construction.
+// The registry is the one place a metric lives: components register
+// instruments once (stable pointers, recording is lock-free or
+// shard-locked) or register a callback that projects an existing ledger
+// into the snapshot, and every consumer — the STATS line, the METRICS
+// Prometheus exposition, tests — reads the same Snapshot(). A second
+// component records into a cell by re-Getting its name (the TCP
+// front-end does this for the vblock_net_* cells its service registers).
 //
 // Instrument taxonomy:
 //  * Counter        — monotonic uint64; recording is one relaxed atomic
@@ -47,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -199,8 +199,7 @@ class MetricsRegistry {
   /// Registers (or replaces) a callback evaluated at Snapshot() time.
   /// `type` selects the exposition type (counter callbacks must be
   /// monotonic projections of an external ledger). Replacement keeps the
-  /// metric set stable when a component re-binds its source (e.g. a TCP
-  /// front-end attaching to a running service).
+  /// metric set stable when a component re-binds its source.
   void RegisterCallback(const std::string& name, const std::string& help,
                         MetricType type, CallbackFn fn);
 
@@ -227,6 +226,12 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
 };
+
+/// The metric named `name` (label suffix included) in a Snapshot()
+/// result, or nullptr when it is absent. Binary search: the snapshot is
+/// sorted by name.
+const MetricSnapshot* FindMetric(const std::vector<MetricSnapshot>& snapshot,
+                                 std::string_view name);
 
 /// Renders a snapshot in the Prometheus text exposition format:
 /// `# HELP` / `# TYPE` once per family (name up to '{'), one sample line

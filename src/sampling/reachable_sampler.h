@@ -44,6 +44,11 @@ class ReachableSampler {
   /// Draws one sample into `out` (previous contents discarded).
   void Sample(Rng& rng, SampledGraph* out);
 
+  /// Heap bytes of the O(n) visitation arrays.
+  uint64_t MemoryUsageBytes() const {
+    return VectorBytes(local_id_) + VectorBytes(visit_epoch_);
+  }
+
  private:
   const Graph& graph_;
   VertexId root_;

@@ -287,12 +287,18 @@ uint64_t SamplePool::TotalRegionVertices() const {
   return total;
 }
 
-namespace {
-template <typename T>
-uint64_t VectorBytes(const std::vector<T>& v) {
-  return static_cast<uint64_t>(v.capacity()) * sizeof(T);
+uint64_t SamplePool::Scratch::MemoryUsageBytes() const {
+  uint64_t bytes = VectorBytes(local_id) + VectorBytes(visit_epoch) +
+                   VectorBytes(pristine_of);
+  if (ic_sampler) {
+    bytes += sizeof(ReachableSampler) + ic_sampler->MemoryUsageBytes();
+  }
+  if (triggering_sampler) {
+    bytes += sizeof(TriggeringSampler) +
+             triggering_sampler->MemoryUsageBytes();
+  }
+  return bytes;
 }
-}  // namespace
 
 uint64_t SamplePool::MemoryUsageBytes() const {
   uint64_t bytes = sizeof(SamplePool) + build_blocked_.MemoryUsageBytes() +

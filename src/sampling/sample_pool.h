@@ -63,6 +63,10 @@ class SamplePool {
     std::vector<uint32_t> visit_epoch;  // epoch stamp per pristine-local
     std::vector<uint32_t> pristine_of;  // new-local -> pristine-local
     uint32_t epoch = 0;
+
+    /// Heap bytes held: the prune buffers above and the sampler (object
+    /// and arrays).
+    uint64_t MemoryUsageBytes() const;
   };
 
   /// `model` selects triggering-set sampling when non-null (not owned; must

@@ -33,6 +33,14 @@ class TriggeringSampler {
   /// Draws one sample into `out` (previous contents discarded).
   void Sample(Rng& rng, SampledGraph* out);
 
+  /// Heap bytes of the visitation and trigger-set arrays.
+  uint64_t MemoryUsageBytes() const {
+    return VectorBytes(local_id_) + VectorBytes(visit_epoch_) +
+           VectorBytes(trigger_epoch_) + VectorBytes(trigger_begin_) +
+           VectorBytes(trigger_end_) + VectorBytes(trigger_pool_) +
+           VectorBytes(scratch_);
+  }
+
  private:
   /// True iff `u` is in this round's T(v); samples T(v) on first use.
   bool EdgeLive(VertexId u, VertexId v, Rng& rng);

@@ -524,42 +524,58 @@ Result<Command> ParseCommand(const std::string& line) {
   return SyntaxError("unknown command '" + std::string(fields[0]) + "'");
 }
 
-std::string FormatStats(const ServiceStats& stats, size_t num_graphs) {
-  std::string out = "OK";
-  out += " graphs=" + std::to_string(num_graphs);
-  out += " submitted=" + std::to_string(stats.submitted);
-  out += " completed=" + std::to_string(stats.completed);
-  out += " coalesced=" + std::to_string(stats.coalesced);
-  out += " rejected=" + std::to_string(stats.rejected);
-  out += " invalid=" + std::to_string(stats.invalid);
-  out += " deadline_expired=" + std::to_string(stats.deadline_expired);
-  out += " queue_depth=" + std::to_string(stats.queue_depth);
-  out += " in_flight=" + std::to_string(stats.in_flight);
-  out += " pool_hits=" + std::to_string(stats.cache.hits);
-  out += " pool_misses=" + std::to_string(stats.cache.misses);
-  out += " pool_inserts=" + std::to_string(stats.cache.inserts);
-  out += " pool_evictions=" + std::to_string(stats.cache.evictions);
-  out += " pool_migrations=" + std::to_string(stats.cache.migrations);
-  out += " pool_evicted_stale=" + std::to_string(stats.cache.evicted_stale);
-  out += " pool_entries=" + std::to_string(stats.cache.entries);
-  // Wall-clock / allocator-dependent fields stay last so transcripts can
-  // be diffed after stripping everything from pool_bytes on. The net_*
-  // counters are framing-dependent (how a client splits its writes), so
-  // they live inside the stripped region too.
-  out += " pool_bytes=" + std::to_string(stats.cache.bytes_in_use);
-  out += " net_connections=" + std::to_string(stats.net_connections);
-  out += " net_active=" + std::to_string(stats.net_active);
-  out += " net_bytes_in=" + std::to_string(stats.net_bytes_in);
-  out += " net_bytes_out=" + std::to_string(stats.net_bytes_out);
-  out += " net_lines=" + std::to_string(stats.net_lines);
-  out += " net_errors=" + std::to_string(stats.net_errors);
-  out += " uptime_s=" + FormatFixed(stats.uptime_seconds, 3);
-  out += " qps=" + FormatFixed(stats.qps, 1);
-  out += " qps60=" + FormatFixed(stats.qps_60s, 1);
-  out += " lat_mean_ms=" + FormatFixed(stats.latency_mean_ms, 3);
-  out += " lat_p50_ms=" + FormatFixed(stats.latency_p50_ms, 3);
-  out += " lat_p90_ms=" + FormatFixed(stats.latency_p90_ms, 3);
-  out += " lat_p99_ms=" + FormatFixed(stats.latency_p99_ms, 3);
+std::string FormatStats(const std::vector<obs::MetricSnapshot>& snapshot,
+                        size_t num_graphs) {
+  // STATS field → registry cell, in wire order. The wall-clock /
+  // allocator-dependent fields start at pool_bytes so transcripts can be
+  // diffed after stripping everything from there on. The net_* counters
+  // are framing-dependent (how a client splits its writes), so they live
+  // inside the stripped region too.
+  static constexpr std::pair<const char*, const char*> kCells[] = {
+      {"submitted", "vblock_requests_submitted_total"},
+      {"completed", "vblock_requests_completed_total"},
+      {"coalesced", "vblock_requests_coalesced_total"},
+      {"rejected", "vblock_requests_rejected_total"},
+      {"invalid", "vblock_requests_invalid_total"},
+      {"deadline_expired", "vblock_requests_deadline_expired_total"},
+      {"queue_depth", "vblock_queue_depth"},
+      {"in_flight", "vblock_in_flight"},
+      {"pool_hits", "vblock_pool_hits_total"},
+      {"pool_misses", "vblock_pool_misses_total"},
+      {"pool_inserts", "vblock_pool_inserts_total"},
+      {"pool_evictions", "vblock_pool_evictions_total"},
+      {"pool_migrations", "vblock_pool_migrations_total"},
+      {"pool_evicted_stale", "vblock_pool_evicted_stale_total"},
+      {"pool_entries", "vblock_pool_entries"},
+      {"pool_bytes", "vblock_pool_bytes"},
+      {"net_connections", "vblock_net_connections_total"},
+      {"net_active", "vblock_net_active"},
+      {"net_bytes_in", "vblock_net_bytes_in_total"},
+      {"net_bytes_out", "vblock_net_bytes_out_total"},
+      {"net_lines", "vblock_net_lines_total"},
+      {"net_errors", "vblock_net_errors_total"},
+  };
+  auto value = [&snapshot](std::string_view name) {
+    const obs::MetricSnapshot* m = obs::FindMetric(snapshot, name);
+    return m != nullptr ? m->value : 0.0;
+  };
+  std::string out = "OK graphs=" + std::to_string(num_graphs);
+  for (const auto& [field, name] : kCells) {
+    out += std::string(" ") + field + "=" + FormatFixed(value(name), 0);
+  }
+  const double uptime = value("vblock_uptime_seconds");
+  const double completed = value("vblock_requests_completed_total");
+  out += " uptime_s=" + FormatFixed(uptime, 3);
+  out += " qps=" + FormatFixed(uptime > 0 ? completed / uptime : 0, 1);
+  out += " qps60=" + FormatFixed(value("vblock_qps_60s"), 1);
+  const obs::MetricSnapshot* latency =
+      obs::FindMetric(snapshot, "vblock_request_latency_seconds");
+  const Histogram seconds = latency != nullptr ? latency->histogram
+                                                : Histogram();
+  out += " lat_mean_ms=" + FormatFixed(seconds.mean() * 1e3, 3);
+  out += " lat_p50_ms=" + FormatFixed(seconds.Quantile(0.50) * 1e3, 3);
+  out += " lat_p90_ms=" + FormatFixed(seconds.Quantile(0.90) * 1e3, 3);
+  out += " lat_p99_ms=" + FormatFixed(seconds.Quantile(0.99) * 1e3, 3);
   return out;
 }
 
@@ -695,19 +711,14 @@ void ServiceSession::ExecuteAsync(const std::string& line, ResponseFn done) {
     return;
   }
   switch (parsed->kind) {
-    case Command::Kind::kSolve: {
-      // SubmitWithCallback never blocks the caller; the pool-state
-      // diagnostic compares counters around the computation exactly like
-      // the synchronous path (approximate when other sessions interleave).
-      const PoolCache::Stats before = service_->pool_cache().stats();
+    case Command::Kind::kSolve:
+      // SubmitWithCallback never blocks the caller.
       service_->SubmitWithCallback(
           parsed->request,
-          [this, before, done = std::move(done)](
-              const Result<SolverResult>& result) {
-            done(SolveResponse(result, before));
+          [done = std::move(done)](const Result<SolverResult>& result) {
+            done(SolveResponse(result));
           });
       return;
-    }
     case Command::Kind::kLoadGen:
     case Command::Kind::kLoadFile:
     case Command::Kind::kEval:
@@ -726,13 +737,12 @@ void ServiceSession::ExecuteAsync(const std::string& line, ResponseFn done) {
   }
 }
 
-std::string ServiceSession::SolveResponse(const Result<SolverResult>& result,
-                                          const PoolCache::Stats& before) {
+std::string ServiceSession::SolveResponse(
+    const Result<SolverResult>& result) {
   if (!result.ok()) return ErrorResponse(result.status());
-  const PoolCache::Stats after = service_->pool_cache().stats();
-  const char* pool = after.hits > before.hits       ? "warm"
-                     : after.misses > before.misses ? "cold"
-                                                    : "none";
+  const char* pool = result->pool == PoolOutcome::kWarm   ? "warm"
+                     : result->pool == PoolOutcome::kCold ? "cold"
+                                                          : "none";
   std::string out = "OK blockers=" + JoinVertices(result->blockers) +
                     " rounds=" + std::to_string(result->stats.rounds_completed) +
                     " replacements=" +
@@ -753,10 +763,6 @@ std::string ServiceSession::SolveResponse(const Result<SolverResult>& result,
     }
   }
   return out;
-}
-
-std::string ServiceSession::RunStats() {
-  return FormatStats(service_->Stats(), registry_->size());
 }
 
 std::string ServiceSession::Run(const Command& cmd) {
@@ -785,13 +791,8 @@ std::string ServiceSession::Run(const Command& cmd) {
              " m=" + std::to_string((*snapshot)->graph.NumEdges()) +
              " epoch=" + std::to_string((*snapshot)->epoch);
     }
-    case Command::Kind::kSolve: {
-      // The pool-state diagnostic compares cache hit counters around the
-      // call; exact for this synchronous session, approximate if other
-      // threads share the service.
-      const PoolCache::Stats before = service_->pool_cache().stats();
-      return SolveResponse(service_->SubmitAndWait(cmd.request), before);
-    }
+    case Command::Kind::kSolve:
+      return SolveResponse(service_->SubmitAndWait(cmd.request));
     case Command::Kind::kEval: {
       EvalRequest request;
       request.graph = cmd.request.graph;
@@ -816,7 +817,7 @@ std::string ServiceSession::Run(const Command& cmd) {
              " rebuilt=" + std::to_string(carried.dropped);
     }
     case Command::Kind::kStats:
-      return RunStats();
+      return FormatStats(service_->Stats(), registry_->size());
     case Command::Kind::kMetrics:
       // Multi-line Prometheus exposition ending in "# EOF" (no trailing
       // newline — the REPL/TCP writer appends the final one).

@@ -121,10 +121,15 @@ std::string SerializeCommand(const Command& cmd);
 /// hostile overlong line still yields exactly one reply.
 std::string OverlongLineResponse(size_t max_line_bytes);
 
-/// Formats a service stats snapshot as the STATS response payload. The
-/// deterministic counters come first; wall-clock-dependent fields (uptime,
-/// qps, latency percentiles) last, so log filters can strip them.
-std::string FormatStats(const ServiceStats& stats, size_t num_graphs);
+/// Formats the STATS response: a fixed projection of a metrics snapshot
+/// (QueryService::Stats()). Each field reads one named cell — absent
+/// cells read 0 — except qps (completed / uptime) and the lat_* fields
+/// (mean and quantiles of vblock_request_latency_seconds, in ms). The
+/// deterministic counters come first; allocator-, framing- and
+/// wall-clock-dependent fields (from pool_bytes on) last, so log filters
+/// can strip them.
+std::string FormatStats(const std::vector<obs::MetricSnapshot>& snapshot,
+                        size_t num_graphs);
 
 /// One protocol session: the command executor bound to a registry +
 /// service pair. The stdin REPL owns its pair (first constructor); the TCP
@@ -167,9 +172,7 @@ class ServiceSession {
 
  private:
   std::string Run(const Command& cmd);
-  std::string RunStats();
-  std::string SolveResponse(const Result<SolverResult>& result,
-                            const PoolCache::Stats& before);
+  static std::string SolveResponse(const Result<SolverResult>& result);
 
   std::unique_ptr<GraphRegistry> owned_registry_;
   std::unique_ptr<QueryService> owned_service_;

@@ -166,47 +166,21 @@ void QueryService::RegisterMetrics() {
                                   registry_->epochs_installed());
                             });
 
-  // Network front-end counters read through the installed source; they
-  // report zero when no front-end is attached, keeping the METRICS name
-  // set identical for stdin and TCP serving (the smoke transcripts share
-  // one golden).
-  auto net_metric = [this](auto proj) {
-    return [this, proj]() -> double {
-      std::function<void(ServiceStats*)> source;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        source = net_source_;
-      }
-      if (!source) return 0.0;
-      ServiceStats stats;
-      source(&stats);
-      return static_cast<double>(proj(stats));
-    };
-  };
-  metrics_.RegisterCallback(
-      "vblock_net_connections_total", "TCP connections accepted",
-      obs::MetricType::kCounter,
-      net_metric([](const ServiceStats& s) { return s.net_connections; }));
-  metrics_.RegisterCallback(
-      "vblock_net_active", "TCP connections currently open",
-      obs::MetricType::kGauge,
-      net_metric([](const ServiceStats& s) { return s.net_active; }));
-  metrics_.RegisterCallback(
-      "vblock_net_bytes_in_total", "Bytes read from TCP clients",
-      obs::MetricType::kCounter,
-      net_metric([](const ServiceStats& s) { return s.net_bytes_in; }));
-  metrics_.RegisterCallback(
-      "vblock_net_bytes_out_total", "Bytes written to TCP clients",
-      obs::MetricType::kCounter,
-      net_metric([](const ServiceStats& s) { return s.net_bytes_out; }));
-  metrics_.RegisterCallback(
-      "vblock_net_lines_total", "Protocol lines received over TCP",
-      obs::MetricType::kCounter,
-      net_metric([](const ServiceStats& s) { return s.net_lines; }));
-  metrics_.RegisterCallback(
-      "vblock_net_errors_total", "TCP protocol/socket errors",
-      obs::MetricType::kCounter,
-      net_metric([](const ServiceStats& s) { return s.net_errors; }));
+  // Network front-end cells, recorded by net/tcp_server.h (which re-Gets
+  // them by name). Registered here so the METRICS name set is the same
+  // for stdin and TCP serving (the smoke transcripts share one golden);
+  // they stay zero without a front-end.
+  metrics_.GetCounter("vblock_net_connections_total",
+                      "TCP connections accepted");
+  metrics_.GetGauge("vblock_net_active", "TCP connections currently open");
+  metrics_.GetCounter("vblock_net_bytes_in_total",
+                      "Bytes read from TCP clients");
+  metrics_.GetCounter("vblock_net_bytes_out_total",
+                      "Bytes written to TCP clients");
+  metrics_.GetCounter("vblock_net_lines_total",
+                      "Protocol lines received over TCP");
+  metrics_.GetCounter("vblock_net_errors_total",
+                      "TCP protocol/socket errors");
 }
 
 void QueryService::AdvanceRingLocked(uint64_t now_second) const {
@@ -345,7 +319,7 @@ std::future<Result<SolverResult>> QueryService::SubmitImpl(
     }
   }
   // Rejections deliver outside the lock: a synchronous callback is allowed
-  // to call back into the service (e.g. Stats() for an overload report).
+  // to call back into the service (e.g. STATS for an overload report).
   if (!rejected.ok()) return deliver_now(std::move(rejected));
 
   scheduler_->Submit([this, comp] { Execute(comp); });
@@ -404,7 +378,7 @@ void QueryService::Execute(const std::shared_ptr<Computation>& comp) {
   }
   // One latency sample per request (riders included), each measured from
   // its own Submit and recorded before its delivery so a waiter observing
-  // its future always finds its own sample in Stats(). The slow-query
+  // its future always finds its own sample in the snapshot. The slow-query
   // sink and callbacks run outside the lock (both may re-enter the
   // service).
   for (auto& waiter : waiters) {
@@ -486,9 +460,12 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
     trace->set_id(trace_seq_.fetch_add(1, std::memory_order_relaxed));
   }
   std::unique_ptr<WarmEntry> entry = cache_.Acquire(*pool_key);
+  const PoolOutcome pool =
+      entry != nullptr ? PoolOutcome::kWarm : PoolOutcome::kCold;
   if (entry == nullptr) entry = std::make_unique<WarmEntry>();
   SolverResult result = SolveGreedy(comp.snapshot->graph, key.seeds, opts,
                                     deadline, trace.get(), entry.get());
+  result.pool = pool;
   result.trace = std::move(trace);
 
   // Check the engine back in restored to its freshly built state — the
@@ -613,46 +590,6 @@ Result<double> QueryService::Evaluate(const EvalRequest& request) const {
     }
   }
   return EvaluateSpread(g, request.seeds, request.blockers, request.options);
-}
-
-void QueryService::set_net_stats_source(
-    std::function<void(ServiceStats*)> source) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  net_source_ = std::move(source);
-}
-
-ServiceStats QueryService::Stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ServiceStats stats;
-  // Every monotonic counter reads from the registry cell the METRICS
-  // exposition scrapes — the reconciliation the obs tests pin.
-  stats.submitted = submitted_->Value();
-  stats.invalid = invalid_->Value();
-  stats.rejected = rejected_->Value();
-  stats.coalesced = coalesced_->Value();
-  stats.completed = completed_->Value();
-  stats.deadline_expired = deadline_expired_->Value();
-  stats.queue_depth = queue_depth_;
-  stats.in_flight = in_flight_count_;
-  stats.uptime_seconds = uptime_.ElapsedSeconds();
-  stats.qps = stats.uptime_seconds > 0
-                  ? static_cast<double>(stats.completed) / stats.uptime_seconds
-                  : 0;
-  AdvanceRingLocked(static_cast<uint64_t>(stats.uptime_seconds));
-  uint64_t window = 0;
-  for (uint32_t slot : qps_ring_) window += slot;
-  stats.qps_60s = static_cast<double>(window) / 60.0;
-  stats.cache = cache_.stats();
-  const Histogram latency = latency_->Merged();
-  stats.latency_count = latency.count();
-  stats.latency_mean_ms = latency.mean() * 1e3;
-  stats.latency_p50_ms = latency.Quantile(0.50) * 1e3;
-  stats.latency_p90_ms = latency.Quantile(0.90) * 1e3;
-  stats.latency_p99_ms = latency.Quantile(0.99) * 1e3;
-  stats.latency_max_ms = latency.max() * 1e3;
-  // The network front-end folds its totals in last (zeros when absent).
-  if (net_source_) net_source_(&stats);
-  return stats;
 }
 
 }  // namespace vblock

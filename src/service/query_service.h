@@ -107,43 +107,6 @@ struct ServiceOptions {
   std::function<void(const std::string&)> slow_log;
 };
 
-/// Monotonic counters + current state snapshot. All counters are totals
-/// since construction.
-struct ServiceStats {
-  uint64_t submitted = 0;        // Submit() calls
-  uint64_t invalid = 0;          // failed validation (typed error future)
-  uint64_t rejected = 0;         // admission-control rejections
-  uint64_t coalesced = 0;        // riders attached to an in-flight twin
-  uint64_t completed = 0;        // computations finished (any status)
-  uint64_t deadline_expired = 0; // DeadlineExceeded before execution
-  uint32_t queue_depth = 0;      // accepted, not yet started
-  uint32_t in_flight = 0;        // accepted, not yet completed
-  double uptime_seconds = 0;
-  double qps = 0;                // completed / uptime (lifetime average)
-  /// Completions over the last 60 seconds / 60 — a sliding-window rate
-  /// that tracks current load where the lifetime `qps` stays dragged down
-  /// by idle history.
-  double qps_60s = 0;
-  PoolCache::Stats cache;
-  /// Latency (submit → completion) percentiles in milliseconds, bucketed
-  /// by common/histogram.h (upper-bound estimates, ~26% resolution).
-  uint64_t latency_count = 0;
-  double latency_mean_ms = 0;
-  double latency_p50_ms = 0;
-  double latency_p90_ms = 0;
-  double latency_p99_ms = 0;
-  double latency_max_ms = 0;
-  /// Network front-end counters (net/tcp_server.h folds its totals in
-  /// before formatting STATS; all zero when serving in-process or over
-  /// stdin). connections counts accepts since server start.
-  uint64_t net_connections = 0;
-  uint32_t net_active = 0;
-  uint64_t net_bytes_in = 0;
-  uint64_t net_bytes_out = 0;
-  uint64_t net_lines = 0;
-  uint64_t net_errors = 0;
-};
-
 /// Long-lived, thread-safe query service over a GraphRegistry. The
 /// registry must outlive the service. Destruction drains: every admitted
 /// computation completes and fulfills its futures before the destructor
@@ -213,31 +176,26 @@ class QueryService {
   /// migrated engine is bit-identical to one cold-built on the mutated
   /// graph (tests/dynamic_graph_test.cc proves this differentially), so
   /// the determinism contract survives updates. Entries whose unified
-  /// space shifted are dropped (counted under stats().cache.evicted_stale)
-  /// and rebuild cold on next use. Thread-safe; call after Apply has
-  /// published `to`.
+  /// space shifted are dropped (counted under
+  /// pool_cache().stats().evicted_stale) and rebuild cold on next use.
+  /// Thread-safe; call after Apply has published `to`.
   MigrationOutcome MigrateEpoch(const GraphRegistry::SnapshotPtr& to,
                                 const GraphRegistry::SnapshotPtr& from);
 
-  /// Consistent snapshot of counters, queue state, cache stats, latency.
-  /// A projection of the metrics registry: every monotonic counter here is
-  /// read from the same cell the METRICS exposition scrapes, so the two
-  /// always reconcile exactly (tests/obs_test.cc asserts this).
-  ServiceStats Stats() const;
+  /// Point-in-time view of the service's metrics registry — the cells
+  /// METRICS scrapes and STATS formats (FormatStats in
+  /// service/protocol.h). Each cell is read once, so a snapshot taken
+  /// under load is not a linearized cut across cells.
+  std::vector<obs::MetricSnapshot> Stats() const {
+    return metrics_.Snapshot();
+  }
 
-  /// This service's metrics registry — the single source of truth behind
-  /// Stats() and the METRICS wire command. Per-instance (not the process
-  /// Default()) so concurrent services never mix totals.
+  /// This service's metrics registry — the one source of STATS and
+  /// METRICS. Per-instance (not the process Default()) so concurrent
+  /// services never mix totals. The vblock_net_* cells are registered at
+  /// construction; net/tcp_server.h records into them by re-Getting the
+  /// same names.
   obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Installs (or clears, with nullptr) the network front-end stats
-  /// source: a function folding TcpServerStats totals into a ServiceStats
-  /// (net/tcp_server.h installs itself here). Stats() applies it, and the
-  /// pre-registered vblock_net_* metrics read through it — absent a
-  /// source they report zero, keeping the METRICS name set identical for
-  /// stdin and TCP serving. The front-end MUST clear the source before it
-  /// is destroyed.
-  void set_net_stats_source(std::function<void(ServiceStats*)> source);
 
   /// Warm-pool cache (eviction control, direct stats).
   PoolCache& pool_cache() { return cache_; }
@@ -314,10 +272,10 @@ class QueryService {
   PoolCache cache_;
   Timer uptime_;
 
-  // The instrument cells behind Stats(): monotonic counters live ONLY in
-  // the registry (Stats() reads the same cells METRICS scrapes);
-  // queue_depth_/in_flight_count_ stay plain ints under mutex_ because
-  // admission control reads them together atomically.
+  // The registry and the cells the service records into; monotonic
+  // counters live ONLY here. queue_depth_/in_flight_count_ stay plain
+  // ints under mutex_ (admission control reads them together) and are
+  // projected through callbacks.
   mutable obs::MetricsRegistry metrics_;
   obs::Counter* submitted_ = nullptr;
   obs::Counter* invalid_ = nullptr;
@@ -337,10 +295,9 @@ class QueryService {
   uint32_t in_flight_count_ = 0;  // accepted, not yet completed
   // Sliding-window completion ring: one slot per second of the last 60,
   // indexed by (uptime second % 60). Guarded by mutex_; mutable so the
-  // const readers (Stats, the qps_60s metric callback) can expire slots.
+  // qps_60s metric callback can expire slots.
   mutable std::array<uint32_t, 60> qps_ring_{};
   mutable uint64_t ring_second_ = 0;
-  std::function<void(ServiceStats*)> net_source_;  // guarded by mutex_
 
   // Declared last: destroyed first, draining all tasks while the members
   // above are still alive.

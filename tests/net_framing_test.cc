@@ -13,11 +13,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/line_client.h"
 #include "net/load_gen.h"
 #include "net/tcp_server.h"
+#include "obs/metrics.h"
 #include "service/protocol.h"
 
 #include <sys/socket.h>
@@ -215,6 +217,53 @@ TEST(TcpShutdown, DrainClosesIdleConnectionsAndRunReturnsZero) {
   // The server closed us out; the next read is a clean EOF.
   Result<std::string> after = client.ReadLine();
   EXPECT_FALSE(after.ok());
+}
+
+// The vblock_net_* totals are the service's registry cells: they count
+// exactly the traffic a client exchanged, and keep their values after the
+// server that recorded them is gone.
+TEST(TcpNetCounters, TotalsMatchTrafficAndOutliveTheServer) {
+  GraphRegistry registry;
+  QueryService service(&registry, ServiceOptions{});
+  auto cell = [&service](const char* name) {
+    const std::vector<obs::MetricSnapshot> snapshot = service.Stats();
+    return obs::FindMetric(snapshot, name)->value;
+  };
+  // Four lines: two commands, a comment (framed, never answered) and one
+  // unknown command (an ERR reply).
+  const std::string script = "STATS\nEVICT POOLS\n# note\nBOGUS\n";
+  std::string received;
+  {
+    TcpServer server(&registry, &service, TcpServerOptions{});
+    ASSERT_TRUE(server.Start().ok());
+    std::thread thread([&] { server.Run(); });
+    DrainGuard guard{server, thread};
+    received = ChunkedReplay(server.port(), script, script.size(),
+                             script.size(), 1);
+    server.RequestDrain();
+    thread.join();
+    EXPECT_EQ(cell("vblock_net_active"), 0);
+  }
+  EXPECT_EQ(cell("vblock_net_connections_total"), 1);
+  EXPECT_EQ(cell("vblock_net_active"), 0);
+  EXPECT_EQ(cell("vblock_net_lines_total"), 4);
+  EXPECT_EQ(cell("vblock_net_bytes_in_total"), script.size());
+  EXPECT_EQ(cell("vblock_net_bytes_out_total"), received.size());
+  EXPECT_EQ(cell("vblock_net_errors_total"), 1);
+
+  // Both read paths still scrape, with the same totals.
+  ServiceSession session(&registry, &service);
+  const std::string stats = session.Execute("STATS");
+  const std::string net = " net_connections=1 net_active=0 net_bytes_in=" +
+                          std::to_string(script.size()) + " net_bytes_out=" +
+                          std::to_string(received.size()) +
+                          " net_lines=4 net_errors=1 ";
+  EXPECT_NE(stats.find(net), std::string::npos) << stats;
+  const std::string metrics = session.Execute("METRICS");
+  EXPECT_NE(metrics.find("\nvblock_net_lines_total 4\n"), std::string::npos);
+  EXPECT_NE(metrics.find("\nvblock_net_bytes_in_total " +
+                         std::to_string(script.size()) + "\n"),
+            std::string::npos);
 }
 
 TEST(TcpShutdown, DrainLetsInFlightCommandFinish) {

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/solver.h"
@@ -20,6 +23,7 @@
 #include "obs/solve_trace.h"
 #include "prob/probability_models.h"
 #include "service/graph_registry.h"
+#include "service/protocol.h"
 #include "service/query_service.h"
 
 namespace vblock {
@@ -380,6 +384,26 @@ std::map<std::string, double> ScalarsByName(
   return out;
 }
 
+// "OK k=v k=v ..." → ordered (key, value) pairs.
+std::vector<std::pair<std::string, std::string>> StatsFields(
+    const std::string& line) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream in(line);
+  std::string token;
+  in >> token;  // "OK"
+  while (in >> token) {
+    const size_t eq = token.find('=');
+    out.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+  }
+  return out;
+}
+
+std::string Fixed(double value, int decimals) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
+  return buffer;
+}
+
 TEST(ReconcileTest, StatsAndRegistrySnapshotAgreeExactly) {
   GraphRegistry registry;
   registry.Add("g", TestGraph());
@@ -398,60 +422,77 @@ TEST(ReconcileTest, StatsAndRegistrySnapshotAgreeExactly) {
   od.query.budget = 2;
   ASSERT_TRUE(service.SubmitAndWait(od).ok());
 
-  const ServiceStats stats = service.Stats();
-  const std::map<std::string, double> m =
-      ScalarsByName(service.metrics().Snapshot());
-
-  // Every STATS counter is a projection of a registry cell; the two read
-  // paths must agree exactly at quiescence.
-  EXPECT_EQ(double(stats.submitted), m.at("vblock_requests_submitted_total"));
-  EXPECT_EQ(double(stats.invalid), m.at("vblock_requests_invalid_total"));
-  EXPECT_EQ(double(stats.rejected), m.at("vblock_requests_rejected_total"));
-  EXPECT_EQ(double(stats.coalesced),
-            m.at("vblock_requests_coalesced_total"));
-  EXPECT_EQ(double(stats.completed),
-            m.at("vblock_requests_completed_total"));
-  EXPECT_EQ(double(stats.deadline_expired),
-            m.at("vblock_requests_deadline_expired_total"));
-  EXPECT_EQ(double(stats.queue_depth), m.at("vblock_queue_depth"));
-  EXPECT_EQ(double(stats.in_flight), m.at("vblock_in_flight"));
-  EXPECT_EQ(double(stats.cache.hits), m.at("vblock_pool_hits_total"));
-  EXPECT_EQ(double(stats.cache.misses), m.at("vblock_pool_misses_total"));
-  EXPECT_EQ(double(stats.cache.inserts), m.at("vblock_pool_inserts_total"));
-  EXPECT_EQ(double(stats.cache.evictions),
-            m.at("vblock_pool_evictions_total"));
-  EXPECT_EQ(double(stats.cache.migrations),
-            m.at("vblock_pool_migrations_total"));
-  EXPECT_EQ(double(stats.cache.bytes_in_use), m.at("vblock_pool_bytes"));
-  EXPECT_EQ(double(stats.cache.entries), m.at("vblock_pool_entries"));
-  EXPECT_EQ(double(registry.size()), m.at("vblock_graphs"));
-  EXPECT_EQ(double(stats.net_connections),
-            m.at("vblock_net_connections_total"));
-  EXPECT_EQ(m.at("vblock_net_connections_total"), 0.0);  // no front-end
+  // STATS is a projection of one snapshot: every field reads its named
+  // cell, qps is completed / uptime, and the lat_* fields are the latency
+  // histogram's mean and quantiles.
+  const std::vector<MetricSnapshot> snapshot = service.Stats();
+  const std::map<std::string, double> m = ScalarsByName(snapshot);
+  const auto fields = StatsFields(FormatStats(snapshot, registry.size()));
+  const std::vector<std::pair<std::string, std::string>> cells = {
+      {"graphs", "vblock_graphs"},
+      {"submitted", "vblock_requests_submitted_total"},
+      {"completed", "vblock_requests_completed_total"},
+      {"coalesced", "vblock_requests_coalesced_total"},
+      {"rejected", "vblock_requests_rejected_total"},
+      {"invalid", "vblock_requests_invalid_total"},
+      {"deadline_expired", "vblock_requests_deadline_expired_total"},
+      {"queue_depth", "vblock_queue_depth"},
+      {"in_flight", "vblock_in_flight"},
+      {"pool_hits", "vblock_pool_hits_total"},
+      {"pool_misses", "vblock_pool_misses_total"},
+      {"pool_inserts", "vblock_pool_inserts_total"},
+      {"pool_evictions", "vblock_pool_evictions_total"},
+      {"pool_migrations", "vblock_pool_migrations_total"},
+      {"pool_evicted_stale", "vblock_pool_evicted_stale_total"},
+      {"pool_entries", "vblock_pool_entries"},
+      {"pool_bytes", "vblock_pool_bytes"},
+      {"net_connections", "vblock_net_connections_total"},
+      {"net_active", "vblock_net_active"},
+      {"net_bytes_in", "vblock_net_bytes_in_total"},
+      {"net_bytes_out", "vblock_net_bytes_out_total"},
+      {"net_lines", "vblock_net_lines_total"},
+      {"net_errors", "vblock_net_errors_total"},
+  };
+  const std::vector<std::string> derived = {
+      "uptime_s",   "qps",        "qps60",     "lat_mean_ms",
+      "lat_p50_ms", "lat_p90_ms", "lat_p99_ms"};
+  ASSERT_EQ(fields.size(), cells.size() + derived.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(fields[i].first, cells[i].first);
+    EXPECT_EQ(fields[i].second, Fixed(m.at(cells[i].second), 0))
+        << fields[i].first;
+  }
+  for (size_t i = 0; i < derived.size(); ++i) {
+    EXPECT_EQ(fields[cells.size() + i].first, derived[i]);
+  }
+  std::map<std::string, std::string> by_name(fields.begin(), fields.end());
+  const double uptime = m.at("vblock_uptime_seconds");
+  EXPECT_EQ(by_name["uptime_s"], Fixed(uptime, 3));
+  EXPECT_EQ(by_name["qps"],
+            Fixed(m.at("vblock_requests_completed_total") / uptime, 1));
+  EXPECT_EQ(by_name["qps60"], Fixed(m.at("vblock_qps_60s"), 1));
+  const Histogram latency =
+      obs::FindMetric(snapshot, "vblock_request_latency_seconds")->histogram;
+  EXPECT_EQ(by_name["lat_mean_ms"], Fixed(latency.mean() * 1e3, 3));
+  EXPECT_EQ(by_name["lat_p50_ms"], Fixed(latency.Quantile(0.50) * 1e3, 3));
+  EXPECT_EQ(by_name["lat_p90_ms"], Fixed(latency.Quantile(0.90) * 1e3, 3));
+  EXPECT_EQ(by_name["lat_p99_ms"], Fixed(latency.Quantile(0.99) * 1e3, 3));
 
   // Sanity on the projected values themselves.
-  EXPECT_EQ(stats.submitted, 5u);
-  EXPECT_EQ(stats.invalid, 1u);
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.in_flight, 0u);
-
-  // Latency histogram: every completion delivered to a waiter recorded one
-  // sample (invalid requests never enter the histogram).
-  const Histogram latency =
-      service.metrics().GetHistogram("vblock_request_latency_seconds", "")
-          ->Merged();
-  EXPECT_EQ(latency.count(), stats.latency_count);
-  EXPECT_EQ(stats.latency_count, 4u);
-
+  EXPECT_EQ(by_name["submitted"], "5");
+  EXPECT_EQ(by_name["invalid"], "1");
+  EXPECT_EQ(by_name["completed"], "4");
+  EXPECT_EQ(by_name["queue_depth"], "0");
+  EXPECT_EQ(by_name["in_flight"], "0");
+  EXPECT_EQ(by_name["net_connections"], "0");  // no front-end
+  // Every completion delivered to a waiter recorded one latency sample
+  // (invalid requests never enter the histogram).
+  EXPECT_EQ(latency.count(), 4u);
   // The traced solve folded its per-stage time into the registry.
   EXPECT_GT(m.at("vblock_solve_stage_seconds_total{stage=\"select\"}"), 0.0);
   EXPECT_GT(m.at("vblock_solve_stage_calls_total{stage=\"select\"}"), 0.0);
-
-  // Sliding-window rate: completions landed inside the last 60 seconds,
-  // and both read paths see the same window.
-  EXPECT_GT(stats.qps_60s, 0.0);
-  EXPECT_EQ(service.Stats().qps_60s, m.at("vblock_qps_60s"));
+  // Sliding-window rate: completions landed inside the last 60 seconds.
+  EXPECT_GT(m.at("vblock_qps_60s"), 0.0);
 }
 
 TEST(ReconcileTest, MetricsNameSetIsFixedAtConstruction) {

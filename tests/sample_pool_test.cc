@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -21,28 +22,47 @@
 #include "testing/toy_graphs.h"
 
 // ---------------------------------------------------------------------------
-// Global allocation counter: replacing ::operator new/delete lets the
-// steady-state test assert that scoring rounds perform no heap allocations
-// (the workspace-reuse acceptance criterion). Counting is cheap and the
-// override is active for this whole test binary.
+// Global allocation counter and live-byte tally: replacing ::operator
+// new/delete lets the steady-state test assert that scoring rounds perform
+// no heap allocations (the workspace-reuse acceptance criterion), and the
+// memory-account test compare an engine's reported bytes with what it
+// really holds. Each block carries its requested size in a 16-byte header
+// (keeping malloc's alignment) so delete can subtract it. The override is
+// active for this whole test binary.
 // ---------------------------------------------------------------------------
 
 namespace {
 std::atomic<uint64_t> g_allocation_count{0};
+std::atomic<int64_t> g_live_bytes{0};
+constexpr std::size_t kBlockHeader = 16;
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* block = std::malloc(size + kBlockHeader)) {
+    *static_cast<std::size_t*>(block) = size;
+    g_live_bytes.fetch_add(static_cast<int64_t>(size),
+                           std::memory_order_relaxed);
+    return static_cast<char*>(block) + kBlockHeader;
+  }
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  void* block = static_cast<char*>(p) - kBlockHeader;
+  g_live_bytes.fetch_sub(
+      static_cast<int64_t>(*static_cast<std::size_t*>(block)),
+      std::memory_order_relaxed);
+  std::free(block);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace vblock {
 namespace {
@@ -466,6 +486,22 @@ TEST(SamplePoolEngineTest, EngineMemoryUsageIncludesScoringState) {
   // vector (one double per vertex).
   EXPECT_GE(engine.MemoryUsageBytes(),
             g.NumVertices() * sizeof(double));
+}
+
+TEST(SamplePoolEngineTest, ParkedEngineAccountCoversEveryHeldByte) {
+  // Large n, tiny regions: the pool holds a few vertices per sample while
+  // the surviving worker's sampler keeps O(n) visitation arrays, so an
+  // account that skips per-worker scratch falls far short.
+  Graph g = PathGraph(100000, 0.1);
+  g.GroupedView();  // graph-owned, not the engine's: built before the tally
+  const int64_t before = g_live_bytes.load();
+  SpreadDecreaseEngine engine(
+      g, 0, EngineOptions(64, 3, SampleReuse::kPrune, /*threads=*/2));
+  ASSERT_TRUE(engine.Build());
+  engine.ReleaseThreads();  // what the warm-pool cache does before parking
+  const int64_t held = g_live_bytes.load() - before;
+  ASSERT_GT(held, 0);
+  EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
 }
 
 TEST(SamplePoolEngineTest, SteadyStateScoringRoundsDoNotAllocate) {

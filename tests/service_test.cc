@@ -13,11 +13,14 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/solver.h"
 #include "gen/generators.h"
 #include "graph/graph_delta.h"
+#include "obs/metrics.h"
 #include "prob/probability_models.h"
 #include "service/graph_registry.h"
 #include "service/pool_cache.h"
@@ -53,6 +56,22 @@ IminRequest MakeRequest(std::vector<VertexId> seeds, uint32_t budget,
   query.algorithm = algorithm;
   query.sample_reuse = reuse;
   return IminRequest{.graph = "g", .query = std::move(query)};
+}
+
+// One cell of the service's metrics snapshot (what STATS reports under the
+// matching field).
+double Cell(const QueryService& service, const std::string& name) {
+  const std::vector<obs::MetricSnapshot> snapshot = service.Stats();
+  const obs::MetricSnapshot* m = obs::FindMetric(snapshot, name);
+  EXPECT_NE(m, nullptr) << name;
+  return m != nullptr ? m->value : -1;
+}
+
+// Latency samples recorded so far (one per delivered request).
+uint64_t LatencyCount(const QueryService& service) {
+  const std::vector<obs::MetricSnapshot> snapshot = service.Stats();
+  return obs::FindMetric(snapshot, "vblock_request_latency_seconds")
+      ->histogram.count();
 }
 
 // Bit-level equality on everything the determinism contract covers
@@ -661,9 +680,9 @@ TEST(QueryServiceTest, ExpiredDeadlineReturnsTypedTimeout) {
   Result<SolverResult> result = service.SubmitAndWait(request);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(service.Stats().deadline_expired, 1u);
+  EXPECT_EQ(Cell(service, "vblock_requests_deadline_expired_total"), 1);
   // The future path still completed the computation.
-  EXPECT_EQ(service.Stats().completed, 1u);
+  EXPECT_EQ(Cell(service, "vblock_requests_completed_total"), 1);
 }
 
 TEST(QueryServiceTest, QueueFullRejectsWithResourceExhausted) {
@@ -682,18 +701,18 @@ TEST(QueryServiceTest, QueueFullRejectsWithResourceExhausted) {
   auto first = service.Submit(request);
   request.query.seeds = {2};  // distinct keys: no coalescing
   auto second = service.Submit(request);
-  EXPECT_EQ(service.Stats().queue_depth, 2u);
+  EXPECT_EQ(Cell(service, "vblock_queue_depth"), 2);
 
   request.query.seeds = {3};
   Result<SolverResult> rejected = service.Submit(request).get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(service.Stats().rejected, 1u);
+  EXPECT_EQ(Cell(service, "vblock_requests_rejected_total"), 1);
 
   gate.set_value();
   EXPECT_TRUE(first.get().ok());
   EXPECT_TRUE(second.get().ok());
-  EXPECT_EQ(service.Stats().queue_depth, 0u);
+  EXPECT_EQ(Cell(service, "vblock_queue_depth"), 0);
 }
 
 TEST(QueryServiceTest, InFlightCapRejectsBeforeQueueing) {
@@ -722,8 +741,9 @@ TEST(QueryServiceTest, IdenticalConcurrentRequestsCoalesce) {
   auto a = service.Submit(request);
   auto b = service.Submit(request);
   auto c = service.Submit(request);
-  EXPECT_EQ(service.Stats().coalesced, 2u);
-  EXPECT_EQ(service.Stats().queue_depth, 1u);  // one computation, 3 waiters
+  EXPECT_EQ(Cell(service, "vblock_requests_coalesced_total"), 2);
+  // One computation, three waiters.
+  EXPECT_EQ(Cell(service, "vblock_queue_depth"), 1);
 
   gate.set_value();
   Result<SolverResult> ra = a.get(), rb = b.get(), rc = c.get();
@@ -735,8 +755,8 @@ TEST(QueryServiceTest, IdenticalConcurrentRequestsCoalesce) {
   PoolCache::Stats cache = service.pool_cache().stats();
   EXPECT_EQ(cache.misses, 1u);
   EXPECT_EQ(cache.hits, 0u);
-  EXPECT_EQ(service.Stats().completed, 1u);
-  EXPECT_EQ(service.Stats().latency_count, 3u);
+  EXPECT_EQ(Cell(service, "vblock_requests_completed_total"), 1);
+  EXPECT_EQ(LatencyCount(service), 3u);
 
   // Deadlined requests never coalesce — each owns its submission clock.
   std::promise<void> gate2;
@@ -745,12 +765,12 @@ TEST(QueryServiceTest, IdenticalConcurrentRequestsCoalesce) {
   request.deadline_seconds = 60.0;
   auto d1 = service.Submit(request);
   auto d2 = service.Submit(request);
-  EXPECT_EQ(service.Stats().coalesced, 2u);  // unchanged
-  EXPECT_EQ(service.Stats().queue_depth, 2u);
+  EXPECT_EQ(Cell(service, "vblock_requests_coalesced_total"), 2);  // same
+  EXPECT_EQ(Cell(service, "vblock_queue_depth"), 2);
   gate2.set_value();
   EXPECT_TRUE(d1.get().ok());
   EXPECT_TRUE(d2.get().ok());
-  EXPECT_EQ(service.Stats().completed, 3u);
+  EXPECT_EQ(Cell(service, "vblock_requests_completed_total"), 3);
 }
 
 // -------------------------------------------------------------- validation --
@@ -791,8 +811,8 @@ TEST(QueryServiceTest, TypedValidationErrors) {
   EXPECT_EQ(service.SubmitAndWait(request).status().code(),
             StatusCode::kInvalidArgument);
 
-  EXPECT_EQ(service.Stats().invalid, 6u);
-  EXPECT_EQ(service.Stats().completed, 0u);
+  EXPECT_EQ(Cell(service, "vblock_requests_invalid_total"), 6);
+  EXPECT_EQ(Cell(service, "vblock_requests_completed_total"), 0);
 }
 
 TEST(QueryServiceTest, EvaluateMatchesDirectEvaluateSpread) {
@@ -830,17 +850,21 @@ TEST(QueryServiceTest, StatsSnapshotIsCoherent) {
                         MakeRequest({4, 5}, 4, Algorithm::kAdvancedGreedy))
                     .ok());
   }
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.completed, 3u);
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.in_flight, 0u);
-  EXPECT_EQ(stats.latency_count, 3u);
-  EXPECT_GT(stats.latency_mean_ms, 0.0);
-  EXPECT_GE(stats.latency_max_ms, stats.latency_p50_ms);
-  EXPECT_GT(stats.uptime_seconds, 0.0);
-  EXPECT_GT(stats.qps, 0.0);
-  EXPECT_EQ(stats.cache.hits, 2u);
+  const std::vector<obs::MetricSnapshot> snapshot = service.Stats();
+  auto value = [&snapshot](const char* name) {
+    return obs::FindMetric(snapshot, name)->value;
+  };
+  EXPECT_EQ(value("vblock_requests_submitted_total"), 3);
+  EXPECT_EQ(value("vblock_requests_completed_total"), 3);
+  EXPECT_EQ(value("vblock_queue_depth"), 0);
+  EXPECT_EQ(value("vblock_in_flight"), 0);
+  EXPECT_GT(value("vblock_uptime_seconds"), 0.0);
+  EXPECT_EQ(value("vblock_pool_hits_total"), 2);
+  const Histogram& latency =
+      obs::FindMetric(snapshot, "vblock_request_latency_seconds")->histogram;
+  EXPECT_EQ(latency.count(), 3u);
+  EXPECT_GT(latency.mean(), 0.0);
+  EXPECT_GE(latency.max(), latency.Quantile(0.50));
 }
 
 // ---------------------------------------------------------------- protocol --
@@ -1018,6 +1042,41 @@ TEST(ProtocolTest, SessionEndToEnd) {
   EXPECT_FALSE(session.done());
   EXPECT_EQ(session.Execute("QUIT"), "OK bye");
   EXPECT_TRUE(session.done());
+}
+
+// pool= is this request's own cache outcome, carried on its result: a
+// heuristic SOLVE that completes right after another session's warm hit
+// still reports pool=none.
+TEST(ProtocolTest, PoolFieldReportsTheRequestsOwnOutcome) {
+  GraphRegistry registry;
+  registry.Add("g", TestGraph());
+  QueryService service(&registry, FastOptions(/*num_threads=*/1));
+  ServiceSession first(&registry, &service);
+  ServiceSession second(&registry, &service);
+  const std::string solve = "SOLVE g SEEDS 1,2 BUDGET 3 ALG ag THETA 200";
+  const std::string cold = first.Execute(solve);
+  ASSERT_NE(cold.find("pool=cold"), std::string::npos) << cold;
+
+  // Park the only worker so both SOLVEs queue, then run back to back: the
+  // warm AG first, the OD heuristic second.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  service.scheduler().Submit([opened] { opened.wait(); });
+  std::promise<std::string> warm_done, od_done;
+  std::future<std::string> warm = warm_done.get_future();
+  std::future<std::string> od = od_done.get_future();
+  first.ExecuteAsync(solve, [&warm_done](std::string response) {
+    warm_done.set_value(std::move(response));
+  });
+  second.ExecuteAsync("SOLVE g SEEDS 1,2 BUDGET 3 ALG od",
+                      [&od_done](std::string response) {
+                        od_done.set_value(std::move(response));
+                      });
+  gate.set_value();
+  const std::string warm_line = warm.get();
+  const std::string od_line = od.get();
+  EXPECT_NE(warm_line.find("pool=warm"), std::string::npos) << warm_line;
+  EXPECT_NE(od_line.find("pool=none"), std::string::npos) << od_line;
 }
 
 TEST(ProtocolTest, UpdateSessionMigratesAndEvictsStalePools) {
