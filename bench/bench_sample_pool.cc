@@ -1,8 +1,10 @@
 // Micro-benchmark for the persistent SamplePool / SpreadDecreaseEngine
 // refactor: AdvancedGreedy over the incremental pool (both reuse modes)
 // versus the pre-refactor path that re-runs one-shot ComputeSpreadDecrease
-// per greedy round. Emits a single JSON object on stdout so CI can archive
-// the numbers.
+// per greedy round. A restore arm per reuse mode times
+// SpreadDecreaseEngine::Restore after AdvancedGreedy runs and counts the
+// sample draws it makes (0: restore puts saved regions back). Emits a
+// single JSON object on stdout so CI can archive the numbers.
 //
 // Acceptance target (ISSUE 2): pooled (kPrune) mode ≥ 3× faster than the
 // per-round resample path at budget ≥ 20, θ ≥ 2000, with the final blocked
@@ -24,8 +26,10 @@
 #include "core/evaluator.h"
 #include "core/greedy.h"
 #include "core/spread_decrease.h"
+#include "core/spread_decrease_engine.h"
 #include "gen/generators.h"
 #include "graph/vertex_mask.h"
+#include "obs/solve_trace.h"
 #include "prob/probability_models.h"
 
 namespace {
@@ -86,6 +90,42 @@ ArmResult RunPooled(const Graph& g, VertexId root, uint32_t budget,
   return arm;
 }
 
+struct RestoreArm {
+  double restore_ms = 0;            // mean over the cycles
+  uint64_t restore_draw_calls = 0;  // kSampleDraw calls inside Restore()
+};
+
+// Build once, then run `cycles` × (AdvancedGreedy at `budget`, Restore()),
+// timing each Restore and counting the sample draws made inside it.
+RestoreArm RunRestore(const Graph& g, VertexId root, uint32_t budget,
+                      uint32_t theta, uint64_t seed, uint32_t threads,
+                      SampleReuse reuse) {
+  constexpr int kCycles = 3;
+  SpreadDecreaseOptions sd;
+  sd.theta = theta;
+  sd.seed = seed;
+  sd.threads = threads;
+  sd.sample_reuse = reuse;
+  SpreadDecreaseEngine engine(g, root, sd);
+  engine.Build();
+  obs::SolveTrace trace;
+  engine.set_trace(&trace);
+  RestoreArm arm;
+  double seconds = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    AdvancedGreedyWithEngine(&engine, budget, Deadline(), &trace);
+    const uint64_t draws = trace.stage_calls(obs::SolveStage::kSampleDraw);
+    Timer timer;
+    engine.Restore();
+    seconds += timer.ElapsedSeconds();
+    arm.restore_draw_calls +=
+        trace.stage_calls(obs::SolveStage::kSampleDraw) - draws;
+  }
+  engine.set_trace(nullptr);
+  arm.restore_ms = seconds * 1e3 / kCycles;
+  return arm;
+}
+
 void Evaluate(const Graph& g, VertexId root, ArmResult* arm) {
   EvaluationOptions eval;
   eval.mc_rounds = 100000;
@@ -111,6 +151,10 @@ int main() {
       RunPooled(g, root, budget, theta, seed, threads, SampleReuse::kPrune);
   ArmResult pooled_resample =
       RunPooled(g, root, budget, theta, seed, threads, SampleReuse::kResample);
+  const RestoreArm restore_prune =
+      RunRestore(g, root, budget, theta, seed, threads, SampleReuse::kPrune);
+  const RestoreArm restore_resample = RunRestore(
+      g, root, budget, theta, seed, threads, SampleReuse::kResample);
   Evaluate(g, root, &resample_path);
   Evaluate(g, root, &pooled_prune);
   Evaluate(g, root, &pooled_resample);
@@ -133,11 +177,17 @@ int main() {
       "  \"pooled_prune\": {\"seconds\": %.4f, \"blocked_spread\": %.4f},\n"
       "  \"pooled_resample\": {\"seconds\": %.4f, \"blocked_spread\": %.4f},\n"
       "  \"speedup_pooled_vs_resample_path\": %.2f,\n"
-      "  \"spread_ratio_pooled_vs_resample_path\": %.4f\n"
+      "  \"spread_ratio_pooled_vs_resample_path\": %.4f,\n"
+      "  \"restore\": {\"prune\": {\"restore_ms\": %.4f, "
+      "\"restore_draw_calls\": %llu}, \"resample\": {\"restore_ms\": %.4f, "
+      "\"restore_draw_calls\": %llu}}\n"
       "}\n",
       n, static_cast<unsigned long long>(g.NumEdges()), budget, theta, threads,
       resample_path.seconds, resample_path.spread, pooled_prune.seconds,
       pooled_prune.spread, pooled_resample.seconds, pooled_resample.spread,
-      speedup, spread_ratio);
+      speedup, spread_ratio, restore_prune.restore_ms,
+      static_cast<unsigned long long>(restore_prune.restore_draw_calls),
+      restore_resample.restore_ms,
+      static_cast<unsigned long long>(restore_resample.restore_draw_calls));
   return 0;
 }

@@ -111,11 +111,10 @@ void RunSweepGroup(const Graph& g, const Group& group, uint32_t engine_threads,
 // GreedyReplace: phase 2 replays the whole phase-1 pick set, so budget b'
 // results are NOT prefixes of budget b results and every member needs its
 // own run. What still amortizes is the unification and the θ-sample pool:
-// every member runs SolveGreedy on one WarmEntry, and Restore() returns
-// its engine to the freshly built state bit-for-bit in both reuse modes
-// (kPrune re-prunes the pristine worlds, kResample replays the revision-0
-// streams; tests/sample_pool_test.cc asserts this), so one Build() serves
-// the whole group.
+// every member runs SolveGreedy on one WarmEntry, and Restore() puts the
+// previous member's touched samples back from the engine's undo log —
+// the built bytes, in both reuse modes (tests/sample_pool_test.cc asserts
+// this) — so one Build() serves the whole group.
 void RunGreedyReplaceGroup(const Graph& g, const Group& group,
                            uint32_t engine_threads,
                            std::vector<BatchQueryResult>* out,
@@ -136,19 +135,15 @@ void RunGreedyReplaceGroup(const Graph& g, const Group& group,
     // standalone solve, and Build is deterministic, so a rebuild draws the
     // same worlds bit-for-bit.
     if (entry.engine && entry.engine->timed_out()) entry.engine.reset();
-    SolverResult r;
-    if (entry.engine && !entry.engine->Restore(deadline)) {
-      // The previous member left its final blockers in the mask and this
-      // member's deadline expired while restoring them.
-      r.stats.timed_out = true;
-    } else {
-      const bool cold = entry.engine == nullptr;
-      r = SolveGreedy(g, group.key.seeds,
-                      SolverOptionsForKey(group.key, m.budget, engine_threads),
-                      deadline, group_trace.get(), &entry);
-      if (cold && entry.engine) ++stats->engine_builds;
-      ++stats->full_solves;
-    }
+    // The previous member left its final blockers in the mask.
+    if (entry.engine) entry.engine->Restore();
+    const bool cold = entry.engine == nullptr;
+    SolverResult r =
+        SolveGreedy(g, group.key.seeds,
+                    SolverOptionsForKey(group.key, m.budget, engine_threads),
+                    deadline, group_trace.get(), &entry);
+    if (cold && entry.engine) ++stats->engine_builds;
+    ++stats->full_solves;
     r.stats.seconds = timer.ElapsedSeconds();
     if (m.trace) r.trace = group_trace;
     (*out)[m.query_index].result = std::move(r);

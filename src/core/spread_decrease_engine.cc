@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/solve_trace.h"
@@ -47,6 +48,15 @@ SpreadDecreaseEngine::SpreadDecreaseEngine(
   }
 }
 
+void SpreadDecreaseEngine::Contribute(uint32_t i, double sign) {
+  const auto& to_parent = pool_.sample(i).to_parent;
+  const auto& sizes = sizes_[i];
+  spread_raw_ += sign * static_cast<double>(sizes[0]);
+  for (uint32_t k = 1; k < to_parent.size(); ++k) {
+    delta_raw_[to_parent[k]] += sign * static_cast<double>(sizes[k]);
+  }
+}
+
 bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
                                           bool initial) {
   // Stage attribution: the retire/publish bookkeeping passes accumulate
@@ -62,12 +72,7 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
   if (!initial) {
     const uint64_t t0 = trace ? obs::SolveTrace::NowNanos() : 0;
     for (uint32_t i : dirty_) {
-      const auto& to_parent = pool_.sample(i).to_parent;
-      const auto& sizes = sizes_[i];
-      spread_raw_ -= static_cast<double>(sizes[0]);
-      for (uint32_t k = 1; k < to_parent.size(); ++k) {
-        delta_raw_[to_parent[k]] -= static_cast<double>(sizes[k]);
-      }
+      Contribute(i, -1.0);
       pool_.RemoveFromIndex(i);
     }
     if (trace) {
@@ -94,7 +99,11 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
           // into the stage cells, two clock reads per sample, only when a
           // trace is attached.
           const uint64_t draw_begin = trace ? obs::SolveTrace::NowNanos() : 0;
-          pool_.DeriveSample(i, &w.scratch);
+          // The pool saved the built region in its undo slot: save the
+          // built sizes beside it, so Restore can put both back.
+          if (pool_.DeriveSample(i, &w.scratch)) {
+            saved_sizes_[i].swap(sizes_[i]);
+          }
           const uint64_t draw_end = trace ? obs::SolveTrace::NowNanos() : 0;
           w.scorer.Score(pool_.sample(i), weight_, &sizes_[i]);
           if (trace) {
@@ -115,12 +124,7 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
   // thread count): add the new contributions and index entries.
   const uint64_t publish_begin = trace ? obs::SolveTrace::NowNanos() : 0;
   for (uint32_t i : dirty_) {
-    const auto& to_parent = pool_.sample(i).to_parent;
-    const auto& sizes = sizes_[i];
-    spread_raw_ += static_cast<double>(sizes[0]);
-    for (uint32_t k = 1; k < to_parent.size(); ++k) {
-      delta_raw_[to_parent[k]] += static_cast<double>(sizes[k]);
-    }
+    Contribute(i, 1.0);
     pool_.AddToIndex(i);
   }
   if (trace) {
@@ -136,6 +140,7 @@ bool SpreadDecreaseEngine::Build(const Deadline& deadline) {
   delta_raw_.assign(graph_.NumVertices(), 0.0);
   spread_raw_ = 0;
   sizes_.resize(pool_.theta());
+  saved_sizes_.resize(pool_.theta());
   dirty_.resize(pool_.theta());
   std::iota(dirty_.begin(), dirty_.end(), 0u);
   if (!RecomputeDirty(deadline, /*initial=*/true)) return false;
@@ -164,13 +169,40 @@ bool SpreadDecreaseEngine::Unblock(VertexId v, const Deadline& deadline) {
   return RecomputeDirty(deadline, /*initial=*/false);
 }
 
-bool SpreadDecreaseEngine::Restore(const Deadline& deadline) {
+void SpreadDecreaseEngine::Restore() {
   VBLOCK_CHECK_MSG(built_ && !timed_out_, "engine not in a restorable state");
   obs::ScopedSpan span(trace_, obs::SolveStage::kRestore);
   dirty_.clear();
   pool_.BeginRestore(&dirty_);
-  if (dirty_.empty()) return true;  // nothing blocked since Build()
-  return RecomputeDirty(deadline, /*initial=*/false);
+  // Put the touched samples' built regions and sizes back (freeing the
+  // displaced ones) and repair the Δ sums and the inverted index. The sums
+  // are exact integers, so any order reproduces the built state bit for
+  // bit. With fewer than half the samples touched, retire and republish
+  // them one at a time; otherwise (always after a kResample unblock)
+  // republishing all θ from zero, as Build does, is cheaper than retiring
+  // most of the index entry by entry.
+  if (2 * dirty_.size() < pool_.theta()) {
+    for (uint32_t i : dirty_) {
+      Contribute(i, -1.0);
+      pool_.RemoveFromIndex(i);
+      pool_.PutBackSample(i);
+      sizes_[i] = std::exchange(saved_sizes_[i], {});
+      Contribute(i, 1.0);
+      pool_.AddToIndex(i);
+    }
+    return;
+  }
+  for (uint32_t i : dirty_) {
+    pool_.PutBackSample(i);
+    sizes_[i] = std::exchange(saved_sizes_[i], {});
+  }
+  pool_.ClearIndex();
+  std::fill(delta_raw_.begin(), delta_raw_.end(), 0.0);
+  spread_raw_ = 0;
+  for (uint32_t i = 0; i < pool_.theta(); ++i) {
+    Contribute(i, 1.0);
+    pool_.AddToIndex(i);
+  }
 }
 
 uint32_t SpreadDecreaseEngine::MigrateGraph(
@@ -199,8 +231,10 @@ uint64_t SpreadDecreaseEngine::MemoryUsageBytes() const {
   for (const auto& s : sizes_) {
     bytes += static_cast<uint64_t>(s.capacity()) * sizeof(VertexId);
   }
+  for (const auto& s : saved_sizes_) bytes += VectorBytes(s);
   bytes += static_cast<uint64_t>(sizes_.capacity()) *
            sizeof(std::vector<VertexId>);
+  bytes += VectorBytes(saved_sizes_);
   bytes += static_cast<uint64_t>(weight_.capacity()) * sizeof(uint8_t);
   bytes += static_cast<uint64_t>(delta_raw_.capacity()) * sizeof(double);
   bytes += static_cast<uint64_t>(dirty_.capacity()) * sizeof(uint32_t);

@@ -62,9 +62,9 @@ struct SampleScorer {
 /// Incremental Δ estimator consumed by AdvancedGreedy / GreedyReplace,
 /// GreedyEdgeBlocking and the one-shot Compute* estimators.
 /// Lifecycle: construct → Build() → interleave Block()/Unblock() with
-/// Delta()/BestUnblocked() queries. All mutators return false (and latch
-/// timed_out()) when the deadline expires mid-update; the engine must not
-/// be used further after that.
+/// Delta()/BestUnblocked() queries → Restore(). Build/Block/Unblock return
+/// false (and latch timed_out()) when the deadline expires mid-update; the
+/// engine must not be used further after that.
 class SpreadDecreaseEngine {
  public:
   /// `model` switches sampling to the triggering model (§V-E); not owned.
@@ -92,16 +92,19 @@ class SpreadDecreaseEngine {
   bool Unblock(VertexId v, const Deadline& deadline = Deadline());
 
   /// Returns the engine to its freshly-Build() state: resets the blocked
-  /// mask to the build-time mask and re-derives/re-scores exactly the
-  /// samples that have changed since the build (SamplePool::BeginRestore).
-  /// Bit-exact in both reuse modes — kPrune re-prunes the pristine worlds
-  /// under the build-time mask, kResample replays the original revision-0
-  /// draw streams — so a restored engine answers queries identically to a
-  /// brand-new one (tests/service_test.cc and tests/sample_pool_test.cc
-  /// assert this). This is the warm-pool cache's checkin path and the
-  /// batch GR groups' between-member reset: O(samples touched by the
-  /// previous run), not O(θ). Must not be called on a timed-out engine.
-  bool Restore(const Deadline& deadline = Deadline());
+  /// mask to the build-time mask and, for exactly the samples touched since
+  /// the last restore (SamplePool::BeginRestore), puts the region and
+  /// subtree sizes saved at their first re-derive back from the undo log.
+  /// It draws nothing, builds no dominator tree and checks no deadline, so
+  /// it cannot fail; its cost is O(Σ touched region sizes) of index and Δ
+  /// bookkeeping. The restored bytes are the built ones, so a restored
+  /// engine answers queries identically to a brand-new one
+  /// (tests/service_test.cc and tests/sample_pool_test.cc assert this).
+  /// The displaced regions are freed, so an engine at rest holds one copy
+  /// of each region. This is the warm-pool cache's checkin path and the
+  /// batch GR groups' between-member reset. Must not be called on a
+  /// timed-out engine.
+  void Restore();
 
   /// Epoch migration: carries a restored (at-rest) engine across an
   /// in-place graph mutation. The caller must already have swapped the
@@ -157,8 +160,9 @@ class SpreadDecreaseEngine {
   /// incremental aggregate against from-scratch scoring of these).
   const SampledGraph& PoolSample(uint32_t i) const { return pool_.sample(i); }
 
-  /// Heap bytes held by the engine: the pool (with both masks), the
-  /// per-sample subtree size caches, the vertex weights, the score vector
+  /// Heap bytes held by the engine: the pool (with both masks and its undo
+  /// slots), the per-sample subtree size caches and their undo slots, the
+  /// vertex weights, the score vector
   /// and every live worker's scratch — its sampler's O(n) visitation
   /// arrays, prune buffers and dominator workspace. ReleaseThreads trims
   /// the workers to one before an engine is cached, so a parked engine
@@ -192,8 +196,13 @@ class SpreadDecreaseEngine {
   };
 
   // Re-derives and re-scores dirty_ (sorted sample ids). `initial` skips
-  // the retire pass (nothing is cached yet) and finalizes the pool arena.
+  // the retire pass (nothing is cached yet) and finalizes the pool's
+  // indexes.
   bool RecomputeDirty(const Deadline& deadline, bool initial);
+
+  // Adds (sign +1) or subtracts (sign −1) sample i's cached sizes_ in the
+  // Δ and spread sums. Sequential; exact, as every summand is an integer.
+  void Contribute(uint32_t i, double sign);
 
   // The inline branch is not redundant with ThreadPool's own threads==1
   // path: ParallelFor takes a std::function, whose construction from a
@@ -231,6 +240,10 @@ class SpreadDecreaseEngine {
   // region size. The cached contribution that lets Block() subtract a
   // sample's old scores without recomputing them.
   std::vector<std::vector<VertexId>> sizes_;
+  // Undo log beside the pool's: saved_sizes_[i] holds sample i's built
+  // sizes_ from its first re-derive after a restore until the next
+  // Restore; empty otherwise.
+  std::vector<std::vector<VertexId>> saved_sizes_;
 
   // Σ over samples of subtree sizes / region sizes (unnormalized; exact —
   // all summands are integers).

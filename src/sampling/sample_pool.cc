@@ -1,6 +1,7 @@
 #include "sampling/sample_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -19,7 +20,8 @@ SamplePool::SamplePool(const Graph& g, VertexId root, const Options& options,
       blocked_(build_blocked_),
       samples_(options.theta),
       revision_(options.theta, 0),
-      touched_(options.theta, 0) {
+      touched_(options.theta, 0),
+      undo_(options.theta) {
   VBLOCK_CHECK_MSG(root < g.NumVertices(), "root out of range");
   VBLOCK_CHECK_MSG(options.theta > 0, "theta must be positive");
   VBLOCK_CHECK_MSG(build_blocked_.size() == g.NumVertices(),
@@ -50,10 +52,12 @@ void SamplePool::DrawFresh(uint32_t i, Scratch* scratch) {
 }
 
 void SamplePool::PruneFromPristine(uint32_t i, Scratch* scratch) {
-  const auto nv = static_cast<uint32_t>(ext_par_[i + 1] - ext_par_[i]);
-  const uint32_t* offsets = arena_offsets_.data() + ext_off_[i];
-  const VertexId* targets = arena_targets_.data() + ext_tgt_[i];
-  const VertexId* parents = arena_parents_.data() + ext_par_[i];
+  const SampledGraph& pristine = undo_[i];
+  VBLOCK_DCHECK(!pristine.to_parent.empty());
+  const auto nv = static_cast<uint32_t>(pristine.to_parent.size());
+  const uint32_t* offsets = pristine.offsets.data();
+  const VertexId* targets = pristine.targets.data();
+  const VertexId* parents = pristine.to_parent.data();
 
   if (scratch->visit_epoch.size() < nv) {
     scratch->visit_epoch.resize(nv, 0);
@@ -93,7 +97,12 @@ void SamplePool::PruneFromPristine(uint32_t i, Scratch* scratch) {
   }
 }
 
-void SamplePool::DeriveSample(uint32_t i, Scratch* scratch) {
+bool SamplePool::DeriveSample(uint32_t i, Scratch* scratch) {
+  // First derive since the last restore: the built region moves to the
+  // undo slot (an O(1) swap with the empty slot), and the derive below
+  // writes into fresh buffers.
+  const bool save = touched_[i] && undo_[i].to_parent.empty();
+  if (save) std::swap(samples_[i], undo_[i]);
   if (revision_[i] == 0) {
     DrawFresh(i, scratch);  // initial draw, identical in both modes
   } else if (options_.reuse == SampleReuse::kPrune) {
@@ -102,50 +111,25 @@ void SamplePool::DeriveSample(uint32_t i, Scratch* scratch) {
     DrawFresh(i, scratch);
   }
   ++revision_[i];
+  return save;
 }
 
-void SamplePool::BuildPristineArena() {
-  const uint32_t theta = options_.theta;
-  arena_offsets_.clear();
-  arena_targets_.clear();
-  arena_parents_.clear();
-  ext_off_.clear();
-  ext_tgt_.clear();
-  ext_par_.clear();
+void SamplePool::PutBackSample(uint32_t i) {
+  VBLOCK_DCHECK(!touched_[i] && !undo_[i].to_parent.empty());
+  samples_[i] = std::exchange(undo_[i], SampledGraph{});
+  // Build, migrate and restore all leave an at-rest sample at revision 1:
+  // the next kResample re-draw uses MixSeed(MixSeed(seed, i), 1).
+  revision_[i] = 1;
+}
 
-  uint64_t total_vertices = 0, total_edges = 0;
-  for (const SampledGraph& s : samples_) {
-    total_vertices += s.to_parent.size();
-    total_edges += s.targets.size();
-  }
-  arena_offsets_.reserve(total_vertices + theta);
-  arena_targets_.reserve(total_edges);
-  arena_parents_.reserve(total_vertices);
-  ext_off_.reserve(theta + 1);
-  ext_tgt_.reserve(theta + 1);
-  ext_par_.reserve(theta + 1);
-  ext_off_.push_back(0);
-  ext_tgt_.push_back(0);
-  ext_par_.push_back(0);
-  for (const SampledGraph& s : samples_) {
-    arena_offsets_.insert(arena_offsets_.end(), s.offsets.begin(),
-                          s.offsets.end());
-    arena_targets_.insert(arena_targets_.end(), s.targets.begin(),
-                          s.targets.end());
-    arena_parents_.insert(arena_parents_.end(), s.to_parent.begin(),
-                          s.to_parent.end());
-    ext_off_.push_back(arena_offsets_.size());
-    ext_tgt_.push_back(arena_targets_.size());
-    ext_par_.push_back(arena_parents_.size());
-  }
-
-  // Static pristine inverted index (counting sort; sample ids end up
-  // ascending within each vertex's slice). Slot 0 (the root) is skipped —
-  // the root is in every sample and can never be blocked.
+void SamplePool::BuildPristineIndex() {
+  // Counting sort over the built regions; sample ids end up ascending
+  // within each vertex's slice. Slot 0 (the root) is skipped — the root is
+  // in every sample and can never be blocked.
   pristine_begin_.assign(graph_.NumVertices() + 1, 0);
-  for (uint32_t i = 0; i < theta; ++i) {
-    for (uint64_t k = ext_par_[i] + 1; k < ext_par_[i + 1]; ++k) {
-      ++pristine_begin_[arena_parents_[k] + 1];
+  for (const SampledGraph& s : samples_) {
+    for (size_t k = 1; k < s.to_parent.size(); ++k) {
+      ++pristine_begin_[s.to_parent[k] + 1];
     }
   }
   for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
@@ -154,15 +138,16 @@ void SamplePool::BuildPristineArena() {
   pristine_index_.resize(pristine_begin_[graph_.NumVertices()]);
   std::vector<uint64_t> cursor(pristine_begin_.begin(),
                                pristine_begin_.end() - 1);
-  for (uint32_t i = 0; i < theta; ++i) {
-    for (uint64_t k = ext_par_[i] + 1; k < ext_par_[i + 1]; ++k) {
-      pristine_index_[cursor[arena_parents_[k]]++] = i;
+  for (uint32_t i = 0; i < options_.theta; ++i) {
+    const auto& to_parent = samples_[i].to_parent;
+    for (size_t k = 1; k < to_parent.size(); ++k) {
+      pristine_index_[cursor[to_parent[k]]++] = i;
     }
   }
 }
 
 void SamplePool::FinalizeBuild() {
-  if (options_.reuse == SampleReuse::kPrune) BuildPristineArena();
+  if (options_.reuse == SampleReuse::kPrune) BuildPristineIndex();
   index_.assign(graph_.NumVertices(), {});
   index_pos_.assign(options_.theta, {});
 }
@@ -171,6 +156,7 @@ void SamplePool::BeginMigrate(std::span<const VertexId> changed_out,
                               std::span<const VertexId> changed_in,
                               std::vector<uint32_t>* dirty) {
   const uint32_t theta = options_.theta;
+  for (SampledGraph& saved : undo_) saved = SampledGraph{};
   std::vector<uint8_t> affected(theta, 0);
   bool all = false;
   auto mark = [&](VertexId v) {
@@ -208,7 +194,7 @@ void SamplePool::BeginMigrate(std::span<const VertexId> changed_out,
 }
 
 void SamplePool::FinishMigrate() {
-  if (options_.reuse == SampleReuse::kPrune) BuildPristineArena();
+  if (options_.reuse == SampleReuse::kPrune) BuildPristineIndex();
 }
 
 void SamplePool::AddToIndex(uint32_t i) {
@@ -235,6 +221,10 @@ void SamplePool::RemoveFromIndex(uint32_t i) {
       index_pos_[moved.sample][moved.slot] = p;
     }
   }
+}
+
+void SamplePool::ClearIndex() {
+  for (auto& list : index_) list.clear();
 }
 
 void SamplePool::BeginBlock(VertexId v, std::vector<uint32_t>* dirty) {
@@ -268,15 +258,14 @@ void SamplePool::BeginRestore(std::vector<uint32_t>* dirty) {
   for (uint32_t i = 0; i < options_.theta; ++i) {
     if (!touched_[i]) continue;
     dirty->push_back(i);
-    // The re-derive lands the sample back on its pristine content, so it
-    // is no longer dirty for the NEXT restore — repeated warm cycles pay
-    // only for what they themselves touched.
+    // The restore lands the sample back on its built content, so it is no
+    // longer dirty for the NEXT restore — repeated warm cycles pay only
+    // for what they themselves touched.
     touched_[i] = 0;
-    // kResample: rewind so DeriveSample replays the revision-0 stream
-    // (DrawFresh seeds with MixSeed(seed, i) when revision == 0), making
-    // the restored content bit-identical to the original build. kPrune
-    // keeps its revision — it re-prunes the pristine arena, and under the
-    // build-time mask that reproduces the fresh draw exactly.
+    // kResample: rewind so a re-deriving caller's DeriveSample replays the
+    // revision-0 stream (DrawFresh seeds with MixSeed(seed, i) when
+    // revision == 0). kPrune keeps its revision: it re-prunes the undo
+    // slot's built region, which under the build-time mask reproduces it.
     if (options_.reuse == SampleReuse::kResample) revision_[i] = 0;
   }
 }
@@ -303,20 +292,18 @@ uint64_t SamplePool::Scratch::MemoryUsageBytes() const {
 uint64_t SamplePool::MemoryUsageBytes() const {
   uint64_t bytes = sizeof(SamplePool) + build_blocked_.MemoryUsageBytes() +
                    blocked_.MemoryUsageBytes();
-  for (const SampledGraph& s : samples_) {
-    bytes += VectorBytes(s.offsets) + VectorBytes(s.targets) +
-             VectorBytes(s.to_parent);
-  }
-  bytes += VectorBytes(samples_) + VectorBytes(revision_) +
-           VectorBytes(touched_);
+  auto region_bytes = [](const SampledGraph& s) {
+    return VectorBytes(s.offsets) + VectorBytes(s.targets) +
+           VectorBytes(s.to_parent);
+  };
+  for (const SampledGraph& s : samples_) bytes += region_bytes(s);
+  for (const SampledGraph& s : undo_) bytes += region_bytes(s);
+  bytes += VectorBytes(samples_) + VectorBytes(undo_) +
+           VectorBytes(revision_) + VectorBytes(touched_);
   for (const auto& list : index_) bytes += VectorBytes(list);
   bytes += VectorBytes(index_);
   for (const auto& pos : index_pos_) bytes += VectorBytes(pos);
   bytes += VectorBytes(index_pos_);
-  bytes += VectorBytes(arena_offsets_) + VectorBytes(arena_targets_) +
-           VectorBytes(arena_parents_);
-  bytes += VectorBytes(ext_off_) + VectorBytes(ext_tgt_) +
-           VectorBytes(ext_par_);
   bytes += VectorBytes(pristine_begin_) + VectorBytes(pristine_index_);
   return bytes;
 }

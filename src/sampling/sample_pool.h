@@ -17,6 +17,10 @@
 //   RemoveFromIndex(i)       ┐ sequential, before the region is overwritten
 //   DeriveSample(i, scratch) │ thread-safe for distinct i
 //   AddToIndex(i)            ┘ sequential, ascending i — deterministic
+//
+// Restoring is an undo log, not a re-derive: the first DeriveSample of a
+// touched sample moves its region into an undo slot, and PutBackSample
+// moves it back after BeginRestore (DESIGN §5).
 
 #pragma once
 
@@ -95,19 +99,25 @@ class SamplePool {
   /// (Re-)derives sample i under the current blocked mask. Revision 0 draws
   /// from the base graph; later revisions re-prune (kPrune) or re-draw
   /// (kResample). Thread-safe for distinct i; the caller must have removed
-  /// i from the index first and must re-add it afterwards.
-  void DeriveSample(uint32_t i, Scratch* scratch);
+  /// i from the index first and must re-add it afterwards. The first call
+  /// for a sample touched since the last restore moves its region into the
+  /// sample's undo slot and derives into fresh buffers; it returns true
+  /// exactly then, so a caller caching per-sample state can save it too.
+  bool DeriveSample(uint32_t i, Scratch* scratch);
 
-  /// kPrune: copies the freshly drawn samples into the flat pristine arena
-  /// and builds the static vertex→samples CSR over it. Both modes: readies
-  /// the dynamic inverted index (empty). Call once, after the initial
-  /// DeriveSample sweep and before any AddToIndex/BeginBlock/BeginUnblock.
+  /// kPrune: builds the static vertex→samples CSR over the freshly drawn
+  /// regions. Both modes: readies the dynamic inverted index (empty). Call
+  /// once, after the initial DeriveSample sweep and before any
+  /// AddToIndex/BeginBlock/BeginUnblock.
   void FinalizeBuild();
 
   /// Publishes / retires sample i in the dynamic inverted index.
   /// Sequential only; O(|region|) via swap-and-pop position bookkeeping.
   void AddToIndex(uint32_t i);
   void RemoveFromIndex(uint32_t i);
+  /// Retires every sample from the dynamic inverted index at once (the
+  /// lists keep their capacity); AddToIndex republishes them.
+  void ClearIndex();
 
   /// Marks v blocked and appends the ids of every sample whose *current*
   /// region contains v to *dirty, sorted ascending. Exactly those samples
@@ -126,14 +136,25 @@ class SamplePool {
   /// (those touched by a BeginBlock/BeginUnblock since the build — or
   /// since the last restore, so repeated restore cycles of a hot key stay
   /// O(samples the previous run touched), never creeping toward O(θ)),
-  /// sorted ascending. After the caller re-derives those samples, the pool
-  /// is bit-identical to its freshly built state: kPrune re-prunes the
-  /// pristine arena under the build-time mask, and kResample has its
-  /// revision counters rewound here so the re-draw replays the original
-  /// revision-0 stream MixSeed(seed, i). This is what lets the warm-pool
-  /// cache (service/pool_cache.h) return a used engine to circulation
-  /// with cold-path bit-exactness.
+  /// sorted ascending, and rewinds their kResample revisions to 0. Each
+  /// listed sample then goes back to its built bytes by either of two
+  /// steps, between RemoveFromIndex and AddToIndex:
+  ///  * PutBackSample(i) moves the undo slot's region back — no draw. This
+  ///    is what SpreadDecreaseEngine::Restore does.
+  ///  * DeriveSample(i) re-derives it: kPrune re-prunes the undo slot's
+  ///    region under the build-time mask, kResample replays the revision-0
+  ///    stream MixSeed(seed, i). The undo slot is kept (it still holds
+  ///    the built region) until the next BeginMigrate.
+  /// Either way the pool is bit-identical to its freshly built state, which
+  /// lets the warm-pool cache (service/pool_cache.h) return a used engine
+  /// to circulation with cold-path bit-exactness.
   void BeginRestore(std::vector<uint32_t>* dirty);
+
+  /// Restore step for a sample listed by BeginRestore: moves its saved
+  /// region back from the undo slot, frees the displaced region and sets
+  /// its revision to the post-build value. Sequential; the caller must have
+  /// removed i from the index first and must re-add it afterwards.
+  void PutBackSample(uint32_t i);
 
   /// Epoch migration, step 1 of 3 (see core/spread_decrease_engine.h
   /// MigrateGraph for the orchestration). The pool must be at rest — mask
@@ -151,34 +172,36 @@ class SamplePool {
   /// changed_in. It rewinds those samples' revisions to 0 so the
   /// re-derive replays the cold stream MixSeed(seed, i) — in *both* reuse
   /// modes: a kPrune re-derive must be a fresh draw from the mutated
-  /// graph, not a prune of the stale pristine arena. Samples left clean
-  /// visited only unchanged rows, so their stored worlds are already
+  /// graph, not a prune of a region drawn from the old one. Samples left
+  /// clean visited only unchanged rows, so their stored worlds are already
   /// bit-identical to what a cold build on the mutated graph would draw.
+  /// Drops every undo slot a re-derive restore left behind: those regions
+  /// belong to the old graph.
   void BeginMigrate(std::span<const VertexId> changed_out,
                     std::span<const VertexId> changed_in,
                     std::vector<uint32_t>* dirty);
 
   /// Epoch migration, step 3: after the dirty samples have been
-  /// re-derived and re-published, re-flattens the current regions into the
-  /// pristine arena and rebuilds its CSR index (kPrune; no-op for
-  /// kResample). Unlike FinalizeBuild this leaves the populated dynamic
-  /// inverted index alone.
+  /// re-derived and re-published, rebuilds the pristine CSR index from the
+  /// current regions (kPrune; no-op for kResample). Unlike FinalizeBuild
+  /// this leaves the populated dynamic inverted index alone.
   void FinishMigrate();
 
-  /// Total vertices (with multiplicity) across current sample regions —
-  /// the arena high-water mark; used by benchmarks/diagnostics.
+  /// Total vertices (with multiplicity) across current sample regions;
+  /// used by benchmarks/diagnostics.
   uint64_t TotalRegionVertices() const;
 
-  /// Heap bytes held by the pool: sample regions, both masks, the dynamic
-  /// inverted index, and (kPrune) the pristine arena + its CSR index. Counts vector
-  /// capacities, so the figure is stable once the pool reaches steady
-  /// state. Used by the warm-pool cache's byte budget.
+  /// Heap bytes held by the pool: sample regions, the undo slots (and the
+  /// regions they hold mid-request), both masks, the dynamic inverted
+  /// index, and (kPrune) the pristine CSR index. Counts vector capacities,
+  /// so the figure is stable once the pool reaches steady state. Used by
+  /// the warm-pool cache's byte budget.
   uint64_t MemoryUsageBytes() const;
 
  private:
   void DrawFresh(uint32_t i, Scratch* scratch);
   void PruneFromPristine(uint32_t i, Scratch* scratch);
-  void BuildPristineArena();
+  void BuildPristineIndex();
 
   const Graph& graph_;
   VertexId root_;
@@ -191,8 +214,13 @@ class SamplePool {
   std::vector<SampledGraph> samples_;
   std::vector<uint32_t> revision_;
   // Samples touched by BeginBlock/BeginUnblock since the build (or the
-  // last BeginRestore) — exactly the set a restore must re-derive.
+  // last BeginRestore) — exactly the set a restore must put back.
   std::vector<uint8_t> touched_;
+  // Undo log: undo_[i] holds sample i's built region from its first
+  // derive after a restore until the next restore puts it back; empty
+  // otherwise (a region always holds the root). Under kPrune it is the
+  // pristine region every re-prune of sample i reads.
+  std::vector<SampledGraph> undo_;
 
   // Dynamic inverted index over the *current* regions. index_[v] holds
   // {sample, slot} entries (slot = local id of v in that sample);
@@ -205,14 +233,9 @@ class SamplePool {
   std::vector<std::vector<IndexEntry>> index_;
   std::vector<std::vector<uint32_t>> index_pos_;
 
-  // Pristine arena (kPrune): the initial θ draws flattened into three
-  // contiguous buffers, plus per-sample begin cursors (sample i's offsets
-  // live at arena_offsets_[ext_off_[i] .. ext_off_[i+1])) and a CSR
-  // inverted index over pristine membership (sample ids ascending).
-  std::vector<uint32_t> arena_offsets_;
-  std::vector<VertexId> arena_targets_;
-  std::vector<VertexId> arena_parents_;
-  std::vector<uint64_t> ext_off_, ext_tgt_, ext_par_;
+  // Pristine CSR index (kPrune): vertex v's built-region membership is
+  // pristine_index_[pristine_begin_[v] .. pristine_begin_[v+1]), sample
+  // ids ascending. BeginUnblock reads it as its dirty set.
   std::vector<uint64_t> pristine_begin_;
   std::vector<uint32_t> pristine_index_;
 };

@@ -42,7 +42,7 @@
 // pure function. The default is 1 shard: exact global LRU, the PR-5
 // behavior, still the right choice for single-threaded embedding.
 //
-// Budget: every entry is byte-accounted (engine + pool arenas + the
+// Budget: every entry is byte-accounted (engine + sample pool + the
 // unified graph's CSR). Release inserts the entry as most-recent and then
 // evicts least-recently-used entries until the shard's byte budget holds
 // (max_bytes / shards per shard); an entry larger than its shard's whole

@@ -473,15 +473,16 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
   // restore runs HERE, before this computation's futures are fulfilled:
   // deferring it past fulfillment would let a fast sequential client's
   // repeated SOLVE race the checkin and miss, breaking the deterministic
-  // warm-hit contract the cache exists for. The cost is bounded by the
-  // samples this run touched (O(θ) only for GR under kResample, whose
-  // unblocks refresh the whole pool). An entry without an engine (GR on a
-  // sink seed, cold) is not cached. A deadline latch mid-build or mid-run
+  // warm-hit contract the cache exists for. It puts the touched samples
+  // back from the engine's undo log — no draw, no dominator tree, no
+  // deadline — so it costs index and Δ bookkeeping over the samples this
+  // run touched and cannot fail. An entry without an engine (GR on a sink
+  // seed, cold) is not cached. A deadline latch mid-build or mid-run
   // poisons the engine (partial update); such entries are dropped rather
-  // than cached. Restoration runs without a deadline: a poisoned cache
-  // entry would silently break the determinism contract.
+  // than cached.
   SpreadDecreaseEngine* const engine = entry->engine.get();
-  if (engine != nullptr && !engine->timed_out() && engine->Restore()) {
+  if (engine != nullptr && !engine->timed_out()) {
+    engine->Restore();
     // Restore above still ran traced (its kRestore span belongs to this
     // request); the pointer MUST clear before the engine outlives the
     // request's trace in the cache.

@@ -26,6 +26,7 @@
 #include "graph/graph_delta.h"
 #include "graph/prob_grouped_view.h"
 #include "prob/probability_models.h"
+#include "sampling/sample_pool.h"
 #include "service/graph_registry.h"
 #include "service/protocol.h"
 #include "service/query_service.h"
@@ -385,7 +386,7 @@ std::vector<VertexId> SolveAndRestore(SpreadDecreaseEngine* engine,
     EXPECT_TRUE(engine->Block(v));
     picks.push_back(v);
   }
-  EXPECT_TRUE(engine->Restore());
+  engine->Restore();
   return picks;
 }
 
@@ -569,6 +570,83 @@ TEST(MigrationDirtySetTest, DirtiesExactlyTheSamplesThatReadAChangedRow) {
     ExpectSamplesIdentical(engine, cold, 0);
     EXPECT_EQ(engine.Scores().delta, cold.Scores().delta);
   }
+}
+
+// A caller that drives a kPrune SamplePool directly and restores by
+// re-deriving (perfbench's mirror pool) keeps the undo slots: they still
+// hold the built regions. Those regions belong to the old graph, so
+// BeginMigrate must drop them — a later Block re-prunes the migrated
+// region, exactly as an engine (whose Restore empties its slots) does.
+TEST(MigrationDirtySetTest, MigrateDropsTheUndoSlotsOfARederivingPool) {
+  const Graph base = WithWeightedCascade(GenerateBarabasiAlbert(300, 3, 5));
+  const VertexId root = 0;
+  SpreadDecreaseOptions opts = EngineOptions(200, 17, SampleReuse::kPrune);
+  opts.sampler_kind = SamplerKind::kPerEdgeCoin;
+  SamplePool::Options po;
+  po.theta = opts.theta;
+  po.seed = opts.seed;
+  po.reuse = opts.sample_reuse;
+  po.sampler_kind = opts.sampler_kind;
+
+  Graph g = base;
+  SpreadDecreaseEngine engine(g, root, opts);
+  ASSERT_TRUE(engine.Build());
+  SamplePool pool(g, root, po);
+  SamplePool::Scratch scratch = pool.MakeScratch();
+  for (uint32_t i = 0; i < po.theta; ++i) pool.DeriveSample(i, &scratch);
+  pool.FinalizeBuild();
+  for (uint32_t i = 0; i < po.theta; ++i) pool.AddToIndex(i);
+  std::vector<uint32_t> dirty;
+  auto rederive = [&] {
+    for (uint32_t i : dirty) pool.RemoveFromIndex(i);
+    for (uint32_t i : dirty) pool.DeriveSample(i, &scratch);
+    for (uint32_t i : dirty) pool.AddToIndex(i);
+    dirty.clear();
+  };
+  auto expect_same = [&] {
+    for (uint32_t i = 0; i < po.theta; ++i) {
+      ASSERT_EQ(pool.sample(i).to_parent, engine.PoolSample(i).to_parent)
+          << "sample " << i;
+      ASSERT_EQ(pool.sample(i).targets, engine.PoolSample(i).targets)
+          << "sample " << i;
+    }
+  };
+
+  // One Block + restore cycle; the pool keeps its undo slots.
+  const VertexId v = engine.BestUnblocked();
+  ASSERT_TRUE(engine.Block(v));
+  engine.Restore();
+  pool.BeginBlock(v, &dirty);
+  ASSERT_FALSE(dirty.empty());
+  rederive();
+  pool.BeginRestore(&dirty);
+  rederive();
+  expect_same();
+
+  // A new out-edge of v re-draws every sample that holds v.
+  VertexId x = 1;
+  const auto out = g.OutNeighbors(v);
+  while (x == v || std::find(out.begin(), out.end(), x) != out.end()) ++x;
+  GraphDelta delta;
+  delta.insert_edges.push_back({v, x, 0.5});
+  Result<Graph> next = ApplyDelta(base, delta);
+  ASSERT_TRUE(next.ok());
+  std::vector<VertexId> changed_out, changed_in;
+  ComputeChangedRows(base, *next, &changed_out, &changed_in);
+  g = std::move(*next);  // in place: engine and pool hold references to g
+  const uint32_t migrated = engine.MigrateGraph(changed_out, changed_in);
+  pool.BeginMigrate(changed_out, changed_in, &dirty);
+  EXPECT_EQ(dirty.size(), migrated);
+  scratch = pool.MakeScratch();
+  rederive();
+  pool.FinishMigrate();
+  expect_same();
+
+  // Blocking v again re-prunes the migrated regions in both.
+  ASSERT_TRUE(engine.Block(v));
+  pool.BeginBlock(v, &dirty);
+  rederive();
+  expect_same();
 }
 
 TEST(MigrationBitExactTest, PruneSingleThread) {

@@ -7,17 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "cascade/triggering.h"
 #include "core/edge_blocking.h"
 #include "core/greedy.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
 #include "domtree/dominator_tree.h"
+#include "gen/dataset_catalog.h"
 #include "gen/generators.h"
+#include "obs/solve_trace.h"
 #include "prob/probability_models.h"
 #include "testing/toy_graphs.h"
 
@@ -80,20 +87,21 @@ SpreadDecreaseOptions EngineOptions(uint32_t theta, uint64_t seed,
   return opts;
 }
 
-// From-scratch Algorithm-2 scoring over the engine's *current* samples:
-// one dominator tree per sample, with every vertex's weight (1, or
-// `weights` by vertex id) added to Δ of each vertex on its idom chain
+// From-scratch Algorithm-2 scoring over θ samples (`sample_at(i)` returns
+// sample i): one dominator tree per sample, with every vertex's weight (1,
+// or `weights` by vertex id) added to Δ of each vertex on its idom chain
 // below the root — Theorem 6 applied directly, independent of the
 // engine's subtree-size pass. The incremental aggregate must match this
-// exactly (every summand is an integer).
-SpreadDecreaseResult RescoreEnginePool(
-    const SpreadDecreaseEngine& engine, VertexId num_vertices,
-    const std::vector<double>* weights = nullptr) {
+// exactly (every summand is an integer, normalized as Scores() does).
+template <typename SampleAt>
+SpreadDecreaseResult RescoreSamples(uint32_t theta, SampleAt sample_at,
+                                    VertexId num_vertices,
+                                    const std::vector<double>* weights) {
   SpreadDecreaseResult reference;
   reference.delta.assign(num_vertices, 0.0);
   double total_size = 0;
-  for (uint32_t i = 0; i < engine.theta(); ++i) {
-    const SampledGraph& sample = engine.PoolSample(i);
+  for (uint32_t i = 0; i < theta; ++i) {
+    const SampledGraph& sample = sample_at(i);
     const DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
     for (VertexId local = 0; local < sample.NumVertices(); ++local) {
       const double w = weights ? (*weights)[sample.to_parent[local]] : 1.0;
@@ -103,10 +111,20 @@ SpreadDecreaseResult RescoreEnginePool(
       }
     }
   }
-  const double inv_theta = 1.0 / static_cast<double>(engine.theta());
+  const double inv_theta = 1.0 / static_cast<double>(theta);
   for (double& d : reference.delta) d *= inv_theta;
   reference.expected_spread = total_size * inv_theta;
   return reference;
+}
+
+// RescoreSamples over the engine's *current* samples.
+SpreadDecreaseResult RescoreEnginePool(
+    const SpreadDecreaseEngine& engine, VertexId num_vertices,
+    const std::vector<double>* weights = nullptr) {
+  return RescoreSamples(
+      engine.theta(),
+      [&](uint32_t i) -> const SampledGraph& { return engine.PoolSample(i); },
+      num_vertices, weights);
 }
 
 void ExpectScoresEqual(const SpreadDecreaseResult& got,
@@ -356,7 +374,7 @@ TEST(SamplePoolEngineTest, RestoreReturnsEngineToFreshBuildBitExactly) {
       VertexId b = used.BestUnblocked();
       ASSERT_TRUE(used.Block(b));
       ASSERT_TRUE(used.Unblock(a));
-      ASSERT_TRUE(used.Restore());
+      used.Restore();
 
       EXPECT_EQ(used.blocked().ToVector(), fresh.blocked().ToVector());
       const SpreadDecreaseResult got = used.Scores();
@@ -442,12 +460,262 @@ TEST(SamplePoolEngineTest, RestoreIsIdempotent) {
                               EngineOptions(200, 5, SampleReuse::kResample));
   ASSERT_TRUE(engine.Build());
   const SpreadDecreaseResult want = engine.Scores();
-  ASSERT_TRUE(engine.Restore());  // untouched: nothing to do
+  engine.Restore();  // untouched: nothing to do
   ASSERT_TRUE(engine.Block(engine.BestUnblocked()));
-  ASSERT_TRUE(engine.Restore());
-  ASSERT_TRUE(engine.Restore());
+  engine.Restore();
+  engine.Restore();
   EXPECT_EQ(engine.Scores().delta, want.delta);
   EXPECT_EQ(engine.Scores().expected_spread, want.expected_spread);
+}
+
+// The restore contract's configurations: both reuse modes × both sampler
+// kinds × with and without a build-time mask on IC pools, plus an LT
+// triggering pool per reuse mode.
+struct RestoreCase {
+  SampleReuse reuse;
+  SamplerKind kind;
+  bool masked;
+  bool lt;
+};
+
+std::vector<RestoreCase> RestoreCases() {
+  std::vector<RestoreCase> cases;
+  for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
+    for (SamplerKind kind :
+         {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
+      for (bool masked : {false, true}) {
+        cases.push_back({reuse, kind, masked, /*lt=*/false});
+      }
+    }
+    cases.push_back(
+        {reuse, SamplerKind::kGeometricSkip, /*masked=*/false, /*lt=*/true});
+  }
+  return cases;
+}
+
+std::string CaseName(const RestoreCase& c) {
+  std::string name = c.reuse == SampleReuse::kPrune ? "prune" : "resample";
+  name += c.kind == SamplerKind::kPerEdgeCoin ? " coin" : " skip";
+  if (c.masked) name += " build-mask";
+  if (c.lt) name += " lt";
+  return name;
+}
+
+// One graph, build mask and LT model shared by every RestoreCase; engines
+// and pools hold references into it.
+struct RestoreFixture {
+  Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 21));
+  VertexMask mask = MakeMask(g.NumVertices());
+  LtTriggeringModel lt{g};
+  static constexpr uint32_t kTheta = 300;
+  static constexpr uint64_t kSeed = 23;
+
+  static VertexMask MakeMask(VertexId n) {
+    VertexMask m(n);
+    m.Set(1);
+    m.Set(2);
+    return m;
+  }
+  const TriggeringModel* Model(const RestoreCase& c) const {
+    return c.lt ? &lt : nullptr;
+  }
+  const VertexMask* Mask(const RestoreCase& c) const {
+    return c.masked ? &mask : nullptr;
+  }
+  std::unique_ptr<SpreadDecreaseEngine> Engine(const RestoreCase& c) const {
+    SpreadDecreaseOptions opts = EngineOptions(kTheta, kSeed, c.reuse);
+    opts.sampler_kind = c.kind;
+    auto engine = std::make_unique<SpreadDecreaseEngine>(g, 0, opts,
+                                                         Model(c), Mask(c));
+    EXPECT_TRUE(engine->Build());
+    return engine;
+  }
+};
+
+void ExpectSameRegions(const SpreadDecreaseEngine& engine,
+                       const SamplePool& pool) {
+  for (uint32_t i = 0; i < engine.theta(); ++i) {
+    const SampledGraph& a = engine.PoolSample(i);
+    const SampledGraph& b = pool.sample(i);
+    ASSERT_EQ(a.to_parent, b.to_parent) << "sample " << i;
+    ASSERT_EQ(a.offsets, b.offsets) << "sample " << i;
+    ASSERT_EQ(a.targets, b.targets) << "sample " << i;
+  }
+}
+
+// The unblocked non-root vertex with the smallest positive Δ: blocking it
+// touches few samples (at most Δ·θ).
+VertexId LightVertex(const SpreadDecreaseEngine& engine) {
+  VertexId light = kInvalidVertex;
+  for (VertexId v = 0; v < engine.graph().NumVertices(); ++v) {
+    if (v == engine.root() || engine.blocked().Test(v)) continue;
+    const double d = engine.Delta(v);
+    if (d > 0 && (light == kInvalidVertex || d < engine.Delta(light))) {
+      light = v;
+    }
+  }
+  return light;
+}
+
+// Restore by put-back (the engine's undo log) ≡ restore by re-derive (a
+// pool driven directly, as perfbench's mirror does): after a restore, the
+// regions, Δ and spread agree bit for bit, and so does the world a later
+// Block draws. Two histories cover both put-back paths: greedy Blocks
+// until most samples are touched plus an Unblock, then one light Block.
+TEST(SamplePoolEngineTest, RestoreByPutBackMatchesRestoreByRederive) {
+  const RestoreFixture fx;
+  for (const RestoreCase& c : RestoreCases()) {
+    SCOPED_TRACE(CaseName(c));
+    std::unique_ptr<SpreadDecreaseEngine> engine = fx.Engine(c);
+
+    SamplePool::Options po;
+    po.theta = RestoreFixture::kTheta;
+    po.seed = RestoreFixture::kSeed;
+    po.reuse = c.reuse;
+    po.sampler_kind = c.kind;
+    SamplePool mirror(fx.g, 0, po, fx.Model(c), fx.Mask(c));
+    SamplePool::Scratch scratch = mirror.MakeScratch();
+    for (uint32_t i = 0; i < po.theta; ++i) mirror.DeriveSample(i, &scratch);
+    mirror.FinalizeBuild();
+    for (uint32_t i = 0; i < po.theta; ++i) mirror.AddToIndex(i);
+    std::vector<uint32_t> dirty;
+    std::vector<uint8_t> touched(po.theta, 0);
+    uint32_t num_touched = 0;
+    auto rederive = [&] {
+      for (uint32_t i : dirty) {
+        num_touched += touched[i] == 0 ? 1 : 0;
+        touched[i] = 1;
+        mirror.RemoveFromIndex(i);
+      }
+      for (uint32_t i : dirty) mirror.DeriveSample(i, &scratch);
+      for (uint32_t i : dirty) mirror.AddToIndex(i);
+      dirty.clear();
+    };
+    auto block = [&](VertexId v) {
+      ASSERT_TRUE(engine->Block(v));
+      mirror.BeginBlock(v, &dirty);
+      rederive();
+    };
+    auto restore = [&](bool most) {
+      engine->Restore();
+      mirror.BeginRestore(&dirty);
+      ASSERT_EQ(dirty.size(), num_touched);
+      EXPECT_EQ(2 * dirty.size() >= po.theta, most) << dirty.size();
+      for (uint32_t i : dirty) {
+        mirror.RemoveFromIndex(i);
+        mirror.DeriveSample(i, &scratch);
+        mirror.AddToIndex(i);
+      }
+      dirty.clear();
+      std::fill(touched.begin(), touched.end(), 0);
+      num_touched = 0;
+      EXPECT_EQ(engine->blocked().ToVector(),
+                mirror.blocked_mask().ToVector());
+      ExpectSameRegions(*engine, mirror);
+      const SpreadDecreaseResult got = engine->Scores();
+      const SpreadDecreaseResult want = RescoreSamples(
+          po.theta,
+          [&](uint32_t i) -> const SampledGraph& { return mirror.sample(i); },
+          fx.g.NumVertices(), nullptr);
+      EXPECT_EQ(got.delta, want.delta);
+      EXPECT_EQ(got.expected_spread, want.expected_spread);
+    };
+
+    const VertexId a = engine->BestUnblocked();
+    block(a);
+    while (2 * num_touched < po.theta) block(engine->BestUnblocked());
+    ASSERT_TRUE(engine->Unblock(a));
+    mirror.BeginUnblock(a, &dirty);
+    rederive();
+    ExpectSameRegions(*engine, mirror);
+    restore(/*most=*/true);
+
+    block(LightVertex(*engine));
+    restore(/*most=*/false);
+
+    // The next Block re-derives on the restored revisions in both.
+    block(engine->BestUnblocked());
+    ExpectSameRegions(*engine, mirror);
+  }
+}
+
+// Restore puts regions back; it neither draws a sample nor builds a
+// dominator tree.
+TEST(SamplePoolEngineTest, RestoreDrawsNothing) {
+  const RestoreFixture fx;
+  for (const RestoreCase& c : RestoreCases()) {
+    SCOPED_TRACE(CaseName(c));
+    std::unique_ptr<SpreadDecreaseEngine> engine = fx.Engine(c);
+    obs::SolveTrace trace;
+    engine->set_trace(&trace);
+    GreedyReplaceWithEngine(engine.get(), /*budget=*/5, Deadline(), &trace);
+    const uint64_t draws = trace.stage_calls(obs::SolveStage::kSampleDraw);
+    const uint64_t trees = trace.stage_calls(obs::SolveStage::kDomTree);
+    ASSERT_GT(draws, 0u);
+    engine->Restore();
+    EXPECT_EQ(trace.stage_calls(obs::SolveStage::kSampleDraw), draws);
+    EXPECT_EQ(trace.stage_calls(obs::SolveStage::kDomTree), trees);
+    EXPECT_EQ(trace.stage_calls(obs::SolveStage::kRestore), 1u);
+    engine->set_trace(nullptr);
+  }
+}
+
+// Repeated AG and GR + Restore cycles on one engine stay bit-identical to
+// a fresh build, and a parked engine's account does not grow after the
+// first cycle: Restore frees the displaced regions and sizes.
+TEST(SamplePoolEngineTest, RepeatedSolveRestoreCyclesStayFreshAndFlat) {
+  const RestoreFixture fx;
+  for (const RestoreCase& c : RestoreCases()) {
+    SCOPED_TRACE(CaseName(c));
+    const SpreadDecreaseResult want = fx.Engine(c)->Scores();
+    std::unique_ptr<SpreadDecreaseEngine> engine = fx.Engine(c);
+    uint64_t parked_after_first = 0;
+    std::vector<VertexId> ag_first, gr_first;
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      SCOPED_TRACE("cycle " + std::to_string(cycle));
+      const BlockerSelection ag = AdvancedGreedyWithEngine(
+          engine.get(), /*budget=*/5, Deadline(), nullptr);
+      engine->Restore();
+      SpreadDecreaseResult got = engine->Scores();
+      EXPECT_EQ(got.delta, want.delta);
+      EXPECT_EQ(got.expected_spread, want.expected_spread);
+
+      const BlockerSelection gr = GreedyReplaceWithEngine(
+          engine.get(), /*budget=*/5, Deadline(), nullptr);
+      engine->Restore();
+      got = engine->Scores();
+      EXPECT_EQ(got.delta, want.delta);
+      EXPECT_EQ(got.expected_spread, want.expected_spread);
+
+      engine->ReleaseThreads();
+      const uint64_t parked = engine->MemoryUsageBytes();
+      if (cycle == 0) {
+        parked_after_first = parked;
+        ag_first = ag.blockers;
+        gr_first = gr.blockers;
+      } else {
+        EXPECT_LE(parked, parked_after_first);
+        EXPECT_EQ(ag.blockers, ag_first);
+        EXPECT_EQ(gr.blockers, gr_first);
+      }
+    }
+  }
+}
+
+// kPrune keeps no second copy of its regions: a sample's pristine region
+// is its current one until its first re-derive, and its undo slot after.
+// What remains beyond a kResample engine is the pristine CSR index.
+TEST(SamplePoolEngineTest, PruneEngineHoldsOneCopyOfEachRegion) {
+  const Graph email =
+      WithWeightedCascade(MakeDataset(*FindDataset("EmailCore"), 1.0, 1));
+  SpreadDecreaseEngine prune(email, 0,
+                             EngineOptions(1000, 1, SampleReuse::kPrune));
+  SpreadDecreaseEngine resample(
+      email, 0, EngineOptions(1000, 1, SampleReuse::kResample));
+  ASSERT_TRUE(prune.Build());
+  ASSERT_TRUE(resample.Build());
+  EXPECT_LE(static_cast<double>(prune.MemoryUsageBytes()),
+            1.15 * static_cast<double>(resample.MemoryUsageBytes()));
 }
 
 TEST(SamplePoolTest, MemoryUsageBytesTracksPoolFootprint) {
@@ -489,19 +757,35 @@ TEST(SamplePoolEngineTest, EngineMemoryUsageIncludesScoringState) {
 }
 
 TEST(SamplePoolEngineTest, ParkedEngineAccountCoversEveryHeldByte) {
-  // Large n, tiny regions: the pool holds a few vertices per sample while
-  // the surviving worker's sampler keeps O(n) visitation arrays, so an
-  // account that skips per-worker scratch falls far short.
-  Graph g = PathGraph(100000, 0.1);
+  // Large n, small regions: the pool holds about ten vertices per sample
+  // while the surviving worker's sampler keeps O(n) visitation arrays, so
+  // an account that skips per-worker scratch falls far short. Vertex 1 is
+  // in about 90% of the regions, so Block(1) fills most undo slots.
+  Graph g = PathGraph(100000, 0.9);
   g.GroupedView();  // graph-owned, not the engine's: built before the tally
-  const int64_t before = g_live_bytes.load();
-  SpreadDecreaseEngine engine(
-      g, 0, EngineOptions(64, 3, SampleReuse::kPrune, /*threads=*/2));
-  ASSERT_TRUE(engine.Build());
-  engine.ReleaseThreads();  // what the warm-pool cache does before parking
-  const int64_t held = g_live_bytes.load() - before;
-  ASSERT_GT(held, 0);
-  EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
+  for (SampleReuse reuse : {SampleReuse::kPrune, SampleReuse::kResample}) {
+    SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
+    const int64_t before = g_live_bytes.load();
+    SpreadDecreaseEngine engine(
+        g, 0, EngineOptions(64, 3, reuse, /*threads=*/2));
+    ASSERT_TRUE(engine.Build());
+    // Mid-request: the touched samples' built regions and sizes sit in
+    // the undo slots beside their re-derived ones. The account leaves out
+    // the worker threads' own pool (thread handles, task queue), which a
+    // parked engine never holds, so trim it first.
+    ASSERT_TRUE(engine.Block(1));
+    ASSERT_TRUE(engine.Unblock(1));
+    engine.ReleaseThreads();
+    int64_t held = g_live_bytes.load() - before;
+    ASSERT_GT(held, 0);
+    EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
+
+    engine.Restore();
+    engine.ReleaseThreads();  // what the warm-pool cache does before parking
+    held = g_live_bytes.load() - before;
+    ASSERT_GT(held, 0);
+    EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
+  }
 }
 
 TEST(SamplePoolEngineTest, SteadyStateScoringRoundsDoNotAllocate) {
