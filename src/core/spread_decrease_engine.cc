@@ -174,24 +174,11 @@ void SpreadDecreaseEngine::Restore() {
   obs::ScopedSpan span(trace_, obs::SolveStage::kRestore);
   dirty_.clear();
   pool_.BeginRestore(&dirty_);
+  if (dirty_.empty()) return;  // nothing touched since the build
   // Put the touched samples' built regions and sizes back (freeing the
-  // displaced ones) and repair the Δ sums and the inverted index. The sums
-  // are exact integers, so any order reproduces the built state bit for
-  // bit. With fewer than half the samples touched, retire and republish
-  // them one at a time; otherwise (always after a kResample unblock)
-  // republishing all θ from zero, as Build does, is cheaper than retiring
-  // most of the index entry by entry.
-  if (2 * dirty_.size() < pool_.theta()) {
-    for (uint32_t i : dirty_) {
-      Contribute(i, -1.0);
-      pool_.RemoveFromIndex(i);
-      pool_.PutBackSample(i);
-      sizes_[i] = std::exchange(saved_sizes_[i], {});
-      Contribute(i, 1.0);
-      pool_.AddToIndex(i);
-    }
-    return;
-  }
+  // displaced ones), then republish all θ into cleared Δ sums and index,
+  // as Build does. The sums are exact integers, so this reproduces the
+  // built state bit for bit.
   for (uint32_t i : dirty_) {
     pool_.PutBackSample(i);
     sizes_[i] = std::exchange(saved_sizes_[i], {});

@@ -96,8 +96,9 @@ class SpreadDecreaseEngine {
   /// the last restore (SamplePool::BeginRestore), puts the region and
   /// subtree sizes saved at their first re-derive back from the undo log.
   /// It draws nothing, builds no dominator tree and checks no deadline, so
-  /// it cannot fail; its cost is O(Σ touched region sizes) of index and Δ
-  /// bookkeeping. The restored bytes are the built ones, so a restored
+  /// it cannot fail; it then clears the Δ sums and the inverted index and
+  /// republishes all θ samples, as Build does (O(Σ region sizes)). The
+  /// restored bytes are the built ones, so a restored
   /// engine answers queries identically to a brand-new one
   /// (tests/service_test.cc and tests/sample_pool_test.cc assert this).
   /// The displaced regions are freed, so an engine at rest holds one copy

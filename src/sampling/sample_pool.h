@@ -138,9 +138,10 @@ class SamplePool {
   /// O(samples the previous run touched), never creeping toward O(θ)),
   /// sorted ascending, and rewinds their kResample revisions to 0. Each
   /// listed sample then goes back to its built bytes by either of two
-  /// steps, between RemoveFromIndex and AddToIndex:
+  /// steps, while it is out of the index:
   ///  * PutBackSample(i) moves the undo slot's region back — no draw. This
-  ///    is what SpreadDecreaseEngine::Restore does.
+  ///    is what SpreadDecreaseEngine::Restore does, before it clears the
+  ///    index and republishes all θ samples.
   ///  * DeriveSample(i) re-derives it: kPrune re-prunes the undo slot's
   ///    region under the build-time mask, kResample replays the revision-0
   ///    stream MixSeed(seed, i). The undo slot is kept (it still holds
@@ -152,8 +153,9 @@ class SamplePool {
 
   /// Restore step for a sample listed by BeginRestore: moves its saved
   /// region back from the undo slot, frees the displaced region and sets
-  /// its revision to the post-build value. Sequential; the caller must have
-  /// removed i from the index first and must re-add it afterwards.
+  /// its revision to the post-build value. Sequential; i's old entries must
+  /// leave the index (RemoveFromIndex, or a ClearIndex before any re-add)
+  /// and the caller must re-add it afterwards.
   void PutBackSample(uint32_t i);
 
   /// Epoch migration, step 1 of 3 (see core/spread_decrease_engine.h

@@ -560,8 +560,8 @@ VertexId LightVertex(const SpreadDecreaseEngine& engine) {
 // Restore by put-back (the engine's undo log) ≡ restore by re-derive (a
 // pool driven directly, as perfbench's mirror does): after a restore, the
 // regions, Δ and spread agree bit for bit, and so does the world a later
-// Block draws. Two histories cover both put-back paths: greedy Blocks
-// until most samples are touched plus an Unblock, then one light Block.
+// Block draws. Two histories: greedy Blocks until most samples are
+// touched plus an Unblock, then one light Block that touches few.
 TEST(SamplePoolEngineTest, RestoreByPutBackMatchesRestoreByRederive) {
   const RestoreFixture fx;
   for (const RestoreCase& c : RestoreCases()) {
@@ -596,11 +596,10 @@ TEST(SamplePoolEngineTest, RestoreByPutBackMatchesRestoreByRederive) {
       mirror.BeginBlock(v, &dirty);
       rederive();
     };
-    auto restore = [&](bool most) {
+    auto restore = [&] {
       engine->Restore();
       mirror.BeginRestore(&dirty);
       ASSERT_EQ(dirty.size(), num_touched);
-      EXPECT_EQ(2 * dirty.size() >= po.theta, most) << dirty.size();
       for (uint32_t i : dirty) {
         mirror.RemoveFromIndex(i);
         mirror.DeriveSample(i, &scratch);
@@ -628,10 +627,10 @@ TEST(SamplePoolEngineTest, RestoreByPutBackMatchesRestoreByRederive) {
     mirror.BeginUnblock(a, &dirty);
     rederive();
     ExpectSameRegions(*engine, mirror);
-    restore(/*most=*/true);
+    restore();
 
     block(LightVertex(*engine));
-    restore(/*most=*/false);
+    restore();
 
     // The next Block re-derives on the restored revisions in both.
     block(engine->BestUnblocked());
