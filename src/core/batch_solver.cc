@@ -159,7 +159,6 @@ QueryKey ResolveQueryKey(const IminQuery& q, const SolverOptions& defaults) {
   resolved.seed = q.seed.value_or(defaults.seed);
   resolved.sample_reuse = q.sample_reuse.value_or(defaults.sample_reuse);
   resolved.sampler_kind = q.sampler_kind.value_or(defaults.sampler_kind);
-  resolved.vertex_order = q.vertex_order.value_or(defaults.vertex_order);
   resolved.time_limit_seconds =
       q.time_limit_seconds.value_or(defaults.time_limit_seconds);
   return CanonicalQueryKey(q.seeds, q.algorithm, resolved);

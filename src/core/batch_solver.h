@@ -62,7 +62,6 @@ struct IminQuery {
   std::optional<uint64_t> seed;
   std::optional<SampleReuse> sample_reuse;
   std::optional<SamplerKind> sampler_kind;
-  std::optional<VertexOrder> vertex_order;
   std::optional<double> time_limit_seconds;
   /// Request a per-stage SolveTrace on this query's result. NOT part of
   /// the work-sharing key (ResolveQueryKey ignores it — tracing never

@@ -217,8 +217,7 @@ SolverResult SolveGreedy(const Graph& g, const std::vector<VertexId>& seeds,
   Timer timer;
   if (entry->inst == nullptr) {
     obs::ScopedSpan span(trace, obs::SolveStage::kUnify);
-    entry->inst = std::make_unique<UnifiedInstance>(
-        UnifySeeds(g, seeds, options.vertex_order));
+    entry->inst = std::make_unique<UnifiedInstance>(UnifySeeds(g, seeds));
   }
   const UnifiedInstance& inst = *entry->inst;
 

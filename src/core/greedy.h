@@ -129,15 +129,15 @@ struct WarmEntry {
 };
 
 /// The one AG/GR solve path (options.algorithm must be one of the two).
-/// Creates only what `entry` lacks: the unified instance of (g, seeds,
-/// options.vertex_order), under a kUnify span, and a built engine for
-/// options' sampling knobs, timed into stats.pool_build_seconds. A present
-/// engine must be at rest (built, mask all-clear, not timed out) and built
-/// for the same knobs. Zero budgets, and GR on a sink super-seed, return
-/// the empty answer without building. A build that hits `deadline` returns
-/// an empty timed_out result and leaves the timed-out engine in the entry.
-/// The engine is left traced to `trace`; callers that keep the entry
-/// clear it. Blockers and selection_trace come back in original ids.
+/// Creates only what `entry` lacks: the unified instance of (g, seeds),
+/// under a kUnify span, and a built engine for options' sampling knobs,
+/// timed into stats.pool_build_seconds. A present engine must be at rest
+/// (built, mask all-clear, not timed out) and built for the same knobs.
+/// Zero budgets, and GR on a sink super-seed, return the empty answer
+/// without building. A build that hits `deadline` returns an empty
+/// timed_out result and leaves the timed-out engine in the entry. The
+/// engine is left traced to `trace`; callers that keep the entry clear it.
+/// Blockers and selection_trace come back in original ids.
 /// options.time_limit_seconds is not read — `deadline` is the limit.
 SolverResult SolveGreedy(const Graph& g, const std::vector<VertexId>& seeds,
                          const SolverOptions& options,

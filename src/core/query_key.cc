@@ -20,9 +20,6 @@ void NormalizeIrrelevantKnobs(QueryKey* key) {
       key->mc_rounds = 0;
       key->sample_reuse = SampleReuse::kResample;
       key->sampler_kind = SamplerKind::kGeometricSkip;
-      // The heuristics rank on the *original* graph — they never unify,
-      // so the internal layout cannot matter.
-      key->vertex_order = VertexOrder::kOriginal;
       key->time_limit_seconds = 0;
       break;
     case Algorithm::kBaselineGreedy:
@@ -48,7 +45,6 @@ SolverOptions SolverOptionsForKey(const QueryKey& key, uint32_t budget,
   opts.time_limit_seconds = key.time_limit_seconds;
   opts.sample_reuse = key.sample_reuse;
   opts.sampler_kind = key.sampler_kind;
-  opts.vertex_order = key.vertex_order;
   return opts;
 }
 
@@ -62,7 +58,6 @@ QueryKey CanonicalQueryKey(const std::vector<VertexId>& seeds,
   key.seed = resolved.seed;
   key.sample_reuse = resolved.sample_reuse;
   key.sampler_kind = resolved.sampler_kind;
-  key.vertex_order = resolved.vertex_order;
   key.time_limit_seconds = resolved.time_limit_seconds;
   NormalizeIrrelevantKnobs(&key);
   key.seeds = seeds;

@@ -37,17 +37,15 @@ struct QueryKey {
   uint64_t seed = 0;
   SampleReuse sample_reuse = SampleReuse::kResample;
   SamplerKind sampler_kind = SamplerKind::kGeometricSkip;
-  VertexOrder vertex_order = VertexOrder::kOriginal;
   double time_limit_seconds = 0;
   std::vector<VertexId> seeds;  // sorted ascending
 
   friend bool operator==(const QueryKey&, const QueryKey&) = default;
   bool operator<(const QueryKey& o) const {
     return std::tie(algorithm, theta, mc_rounds, seed, sample_reuse,
-                    sampler_kind, vertex_order, time_limit_seconds, seeds) <
+                    sampler_kind, time_limit_seconds, seeds) <
            std::tie(o.algorithm, o.theta, o.mc_rounds, o.seed, o.sample_reuse,
-                    o.sampler_kind, o.vertex_order, o.time_limit_seconds,
-                    o.seeds);
+                    o.sampler_kind, o.time_limit_seconds, o.seeds);
   }
 };
 

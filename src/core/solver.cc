@@ -106,7 +106,7 @@ Result<SolverResult> SolveImin(const Graph& g,
     case Algorithm::kBaselineGreedy: {
       UnifiedInstance inst = [&] {
         obs::ScopedSpan span(trace, obs::SolveStage::kUnify);
-        return UnifySeeds(g, seeds, options.vertex_order);
+        return UnifySeeds(g, seeds);
       }();
       BaselineGreedyOptions bg;
       bg.budget = options.budget;

@@ -29,7 +29,6 @@
 #include "common/status.h"
 #include "core/blocker_result.h"
 #include "graph/graph.h"
-#include "graph/vertex_order.h"
 #include "obs/solve_trace.h"
 #include "sampling/sample_reuse.h"
 
@@ -75,12 +74,6 @@ struct SolverOptions {
   /// different RNG consumption — results differ between kinds for a fixed
   /// seed but are fully deterministic within one. See docs/DESIGN.md §7.
   SamplerKind sampler_kind = SamplerKind::kGeometricSkip;
-  /// Internal vertex layout of the unified instance (BG / AG / GR):
-  /// kOriginal keeps the historical ids; kDegreeDesc / kBfsFromRoot
-  /// relabel for cache locality (graph/vertex_order.h). External ids are
-  /// unchanged either way; like sampler_kind, a non-default order visits
-  /// different sampled worlds for the same seed. See docs/DESIGN.md §10.
-  VertexOrder vertex_order = VertexOrder::kOriginal;
   /// Collect a per-stage SolveTrace (obs/solve_trace.h) into
   /// SolverResult::trace. Off (default) the instrumentation compiles to
   /// branch-on-null; on or off, result bits are identical — tracing never

@@ -16,8 +16,7 @@ std::vector<VertexId> UnifiedInstance::BlockersToOriginal(
   return out;
 }
 
-UnifiedInstance UnifySeeds(const Graph& g, const std::vector<VertexId>& seeds,
-                           VertexOrder order) {
+UnifiedInstance UnifySeeds(const Graph& g, const std::vector<VertexId>& seeds) {
   VBLOCK_CHECK_MSG(!seeds.empty(), "seed set must not be empty");
   const VertexId n = g.NumVertices();
 
@@ -87,29 +86,6 @@ UnifiedInstance UnifySeeds(const Graph& g, const std::vector<VertexId>& seeds,
   auto built = builder.Build();
   VBLOCK_CHECK(built.ok());
   inst.graph = std::move(built.value());
-
-  if (order != VertexOrder::kOriginal) {
-    // Cache-locality relabeling: permute the unified ids (root pinned at
-    // the highest id, preserving the documented layout) and compose the
-    // permutation into the id maps, so everything external — seeds,
-    // blockers, spreads — is untouched.
-    VertexRelabeling rel = RelabelVertices(inst.graph, order,
-                                           /*bfs_root=*/inst.root,
-                                           /*pinned_last=*/inst.root);
-    std::vector<VertexId> to_original(inst.to_original.size());
-    const auto n_unified = static_cast<VertexId>(rel.new_to_old.size());
-    for (VertexId new_id = 0; new_id < n_unified; ++new_id) {
-      to_original[new_id] = inst.to_original[rel.new_to_old[new_id]];
-    }
-    inst.to_original = std::move(to_original);
-    for (VertexId v = 0; v < n; ++v) {
-      if (inst.to_unified[v] != kInvalidVertex) {
-        inst.to_unified[v] = rel.old_to_new[inst.to_unified[v]];
-      }
-    }
-    inst.root = rel.old_to_new[inst.root];
-    inst.graph = std::move(rel.graph);
-  }
   return inst;
 }
 

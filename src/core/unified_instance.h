@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/vertex_order.h"
 
 namespace vblock {
 
@@ -47,14 +46,6 @@ struct UnifiedInstance {
 
 /// Builds the unified single-seed instance. Seeds must be valid vertex ids;
 /// duplicates are ignored. Aborts (CHECK) on an empty seed set.
-///
-/// `order` optionally relabels the unified graph's internal ids for cache
-/// locality (graph/vertex_order.h) — kBfsFromRoot orders from the
-/// super-seed. The permutation composes into to_original/to_unified, so
-/// callers see identical external ids either way; the super-seed stays the
-/// highest id. Like SamplerKind, a non-default order changes RNG
-/// consumption and therefore visits different sampled worlds.
-UnifiedInstance UnifySeeds(const Graph& g, const std::vector<VertexId>& seeds,
-                           VertexOrder order = VertexOrder::kOriginal);
+UnifiedInstance UnifySeeds(const Graph& g, const std::vector<VertexId>& seeds);
 
 }  // namespace vblock

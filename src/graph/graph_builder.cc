@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "common/check.h"
-
 namespace vblock {
 
 void GraphBuilder::ReserveVertices(VertexId n) {
@@ -94,81 +92,6 @@ Result<Graph> GraphBuilder::Build() {
   edges_.clear();
   num_vertices_ = 0;
   return g;
-}
-
-VertexRelabeling RelabelVertices(const Graph& g, VertexOrder order,
-                                 VertexId bfs_root, VertexId pinned_last) {
-  const VertexId n = g.NumVertices();
-  VertexRelabeling out;
-  out.new_to_old.reserve(n);
-
-  switch (order) {
-    case VertexOrder::kOriginal:
-      for (VertexId v = 0; v < n; ++v) out.new_to_old.push_back(v);
-      break;
-    case VertexOrder::kDegreeDesc: {
-      for (VertexId v = 0; v < n; ++v) out.new_to_old.push_back(v);
-      // stable_sort keeps ties in old-id order — the permutation is a
-      // deterministic property of the graph alone.
-      std::stable_sort(out.new_to_old.begin(), out.new_to_old.end(),
-                       [&g](VertexId a, VertexId b) {
-                         return g.OutDegree(a) + g.InDegree(a) >
-                                g.OutDegree(b) + g.InDegree(b);
-                       });
-      break;
-    }
-    case VertexOrder::kBfsFromRoot: {
-      VBLOCK_CHECK_MSG(n == 0 || bfs_root < n, "bfs root out of range");
-      std::vector<uint8_t> seen(n, 0);
-      if (n > 0) {
-        seen[bfs_root] = 1;
-        out.new_to_old.push_back(bfs_root);
-        for (size_t head = 0; head < out.new_to_old.size(); ++head) {
-          for (VertexId v : g.OutNeighbors(out.new_to_old[head])) {
-            if (seen[v]) continue;
-            seen[v] = 1;
-            out.new_to_old.push_back(v);
-          }
-        }
-      }
-      // Vertices the root cannot reach follow in old-id order.
-      for (VertexId v = 0; v < n; ++v) {
-        if (!seen[v]) out.new_to_old.push_back(v);
-      }
-      break;
-    }
-  }
-
-  if (pinned_last != kInvalidVertex && n > 0) {
-    VBLOCK_CHECK_MSG(pinned_last < n, "pinned vertex out of range");
-    auto it = std::find(out.new_to_old.begin(), out.new_to_old.end(),
-                        pinned_last);
-    out.new_to_old.erase(it);
-    out.new_to_old.push_back(pinned_last);
-  }
-
-  out.old_to_new.resize(n);
-  for (VertexId new_id = 0; new_id < n; ++new_id) {
-    out.old_to_new[out.new_to_old[new_id]] = new_id;
-  }
-
-  // Rebuild the CSR under the permutation. The source graph is already
-  // merged and self-loop-free, so the pass must not transform edges again
-  // (noisy-or merging is not idempotent on duplicates it would re-create).
-  GraphBuilder builder(GraphBuilder::Options{/*merge_parallel_edges=*/false,
-                                             /*drop_self_loops=*/false});
-  builder.ReserveVertices(n);
-  for (VertexId u = 0; u < n; ++u) {
-    auto targets = g.OutNeighbors(u);
-    auto probs = g.OutProbabilities(u);
-    for (size_t k = 0; k < targets.size(); ++k) {
-      builder.AddEdge(out.old_to_new[u], out.old_to_new[targets[k]], probs[k]);
-    }
-  }
-  auto built = builder.Build();
-  VBLOCK_CHECK(built.ok());
-  out.graph = std::move(built.value());
-  return out;
 }
 
 }  // namespace vblock

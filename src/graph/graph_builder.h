@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
-#include "graph/vertex_order.h"
 
 namespace vblock {
 
@@ -54,27 +53,5 @@ class GraphBuilder {
   VertexId num_vertices_ = 0;
   std::vector<Edge> edges_;
 };
-
-/// A vertex-relabeled copy of a graph plus the permutation that produced
-/// it: new_to_old[new_id] == old_id, old_to_new its inverse. The graphs
-/// are isomorphic — edge (u,v,p) exists iff (old_to_new[u], old_to_new[v],
-/// p) does — so any result computed on `graph` maps back exactly.
-struct VertexRelabeling {
-  Graph graph;
-  std::vector<VertexId> new_to_old;
-  std::vector<VertexId> old_to_new;
-};
-
-/// The relabeling pass (see graph/vertex_order.h for the orders and the
-/// determinism caveat). `bfs_root` seeds kBfsFromRoot and is ignored by
-/// the other orders; unreached vertices follow in old-id order. When
-/// `pinned_last` names a vertex, that vertex keeps the highest id
-/// regardless of order — UnifySeeds pins the super-seed there so the
-/// documented "root is the last id" layout survives relabeling. With
-/// kOriginal and no pin this still copies the graph (callers skip the
-/// call when they want the identity for free).
-VertexRelabeling RelabelVertices(const Graph& g, VertexOrder order,
-                                 VertexId bfs_root = 0,
-                                 VertexId pinned_last = kInvalidVertex);
 
 }  // namespace vblock

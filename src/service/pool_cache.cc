@@ -59,7 +59,6 @@ uint64_t PoolCache::HashKey(const Key& key) {
   mix(key.query.seed);
   mix(static_cast<uint64_t>(key.query.sample_reuse));
   mix(static_cast<uint64_t>(key.query.sampler_kind));
-  mix(static_cast<uint64_t>(key.query.vertex_order));
   // time_limit_seconds is a double; hash its bits (finite by validation).
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(key.query.time_limit_seconds));

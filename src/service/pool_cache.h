@@ -17,8 +17,7 @@
 // Keying: PoolCache::KeyFor projects the canonical QueryKey
 // (core/query_key.h — the exact key BatchSolver groups on) onto the fields
 // a warm pool actually depends on: graph epoch, canonical seed set, θ, RNG
-// seed, reuse mode, SamplerKind, VertexOrder. Algorithm is collapsed to the
-// engine
+// seed, reuse mode, SamplerKind. Algorithm is collapsed to the engine
 // family — AdvancedGreedy and GreedyReplace share one pool — and
 // mc_rounds / time-limit are dropped (the pool never reads them).
 //

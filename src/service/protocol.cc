@@ -106,15 +106,6 @@ bool ParseSampler(std::string_view token, SamplerKind* out) {
   return true;
 }
 
-bool ParseVertexOrder(std::string_view token, VertexOrder* out) {
-  const std::string name = Upper(token);
-  if (name == "ORIG") *out = VertexOrder::kOriginal;
-  else if (name == "DEGREE") *out = VertexOrder::kDegreeDesc;
-  else if (name == "BFS") *out = VertexOrder::kBfsFromRoot;
-  else return false;
-  return true;
-}
-
 bool ParseModel(std::string_view token, ProbAssignment* out) {
   const std::string name = Upper(token);
   if (name == "WC") *out = ProbAssignment::kWeightedCascade;
@@ -262,12 +253,6 @@ Result<Command> ParseSolve(const std::vector<std::string_view>& fields) {
         return SyntaxError("SAMPLER must be coin or skip");
       }
       cmd.request.query.sampler_kind = kind;
-    } else if (flag == "RELABEL") {
-      VertexOrder order;
-      if (!ParseVertexOrder(*value, &order)) {
-        return SyntaxError("RELABEL must be orig, degree, or bfs");
-      }
-      cmd.request.query.vertex_order = order;
     } else if (flag == "TIMELIMIT") {
       if (!ParseSeconds(*value, &d)) {
         return SyntaxError("TIMELIMIT must be a finite non-negative number");
@@ -453,15 +438,6 @@ const char* SamplerToken(SamplerKind kind) {
   return "skip";
 }
 
-const char* VertexOrderToken(VertexOrder order) {
-  switch (order) {
-    case VertexOrder::kOriginal: return "orig";
-    case VertexOrder::kDegreeDesc: return "degree";
-    case VertexOrder::kBfsFromRoot: return "bfs";
-  }
-  return "orig";
-}
-
 // " MODEL <m> PROB <p>" suffix shared by both LOAD forms. MODEL is omitted
 // for kKeepFile (the protocol has no token for it); PROB is always emitted
 // — the parser accepts it with any model, so the constant-probability
@@ -608,9 +584,6 @@ std::string SerializeCommand(const Command& cmd) {
       }
       if (q.sampler_kind) {
         out += std::string(" SAMPLER ") + SamplerToken(*q.sampler_kind);
-      }
-      if (q.vertex_order) {
-        out += std::string(" RELABEL ") + VertexOrderToken(*q.vertex_order);
       }
       if (q.time_limit_seconds) {
         out += " TIMELIMIT " + FormatExact(*q.time_limit_seconds);

@@ -11,8 +11,7 @@
 //   LOAD <name> FILE <path> [UNDIRECTED] [MODEL wc|tr|const] [PROB <p>]
 //   SOLVE <graph> SEEDS <v,v,..> [BUDGET <n>] [ALG ra|od|pr|bc|bg|ag|gr]
 //         [THETA <n>] [MC <n>] [SEED <n>] [REUSE prune|resample]
-//         [SAMPLER coin|skip] [RELABEL orig|degree|bfs]
-//         [TIMELIMIT <s>] [TRACE 0|1] [DEADLINE <s>]
+//         [SAMPLER coin|skip] [TIMELIMIT <s>] [TRACE 0|1] [DEADLINE <s>]
 //   EVAL <graph> SEEDS <v,v,..> BLOCKERS <v,v,..|-> [ROUNDS <n>] [SEED <n>]
 //        [SAMPLER coin|skip]
 //   UPDATE <name> [ADD u,v,p;..] [DEL u,v;..] [PROB u,v,p;..] [ADDV <n>]

@@ -248,6 +248,11 @@ std::future<Result<SolverResult>> QueryService::SubmitImpl(
       valid = Status::InvalidArgument("theta must be positive for " +
                                       std::string(AlgorithmName(
                                           key.algorithm)));
+    } else if (key.algorithm == Algorithm::kBaselineGreedy &&
+               key.mc_rounds == 0) {
+      valid = Status::InvalidArgument(
+          "Monte-Carlo rounds must be positive for " +
+          std::string(AlgorithmName(key.algorithm)));
     }
   }
   if (!valid.ok()) {
@@ -512,18 +517,18 @@ QueryService::MigrationOutcome QueryService::MigrateEpoch(
 
     // Re-unify against the mutated graph. The warm pool is only valid if
     // the unified id space is bit-identical to the old one: same vertex
-    // count (the delta added no vertex the super-seed construction keeps),
-    // same root slot, same relabeling (a degree-ordered VertexOrder can
-    // reshuffle ids when the delta changes degrees). Otherwise every
-    // sample's vertex ids would be misinterpreted — drop, rebuild cold.
-    UnifiedInstance fresh =
-        UnifySeeds(to->graph, key.query.seeds, key.query.vertex_order);
+    // count (the delta added no vertex the super-seed construction keeps)
+    // and same root slot. Otherwise every sample's vertex ids would be
+    // misinterpreted — drop, rebuild cold. The id maps are a function of
+    // the vertex count and the seed set alone, so they then agree too.
+    UnifiedInstance fresh = UnifySeeds(to->graph, key.query.seeds);
     if (fresh.graph.NumVertices() != inst.graph.NumVertices() ||
-        fresh.root != inst.root || fresh.to_original != inst.to_original) {
+        fresh.root != inst.root) {
       cache_.CountStaleDrop(key);
       ++outcome.dropped;
       continue;
     }
+    VBLOCK_DCHECK(fresh.to_original == inst.to_original);
 
     std::vector<VertexId> changed_out, changed_in;
     ComputeChangedRows(inst.graph, fresh.graph, &changed_out, &changed_in);
@@ -589,6 +594,9 @@ Result<double> QueryService::Evaluate(const EvalRequest& request) const {
       return Status::OutOfRange("blocker id " + std::to_string(v) +
                                 " out of range");
     }
+  }
+  if (request.options.mc_rounds == 0) {
+    return Status::InvalidArgument("Monte-Carlo rounds must be positive");
   }
   return EvaluateSpread(g, request.seeds, request.blockers, request.options);
 }

@@ -158,9 +158,9 @@ class QueryService {
     /// Entries carried forward: re-keyed to the new epoch with their pools
     /// incrementally re-derived (only samples touching changed rows).
     uint64_t migrated = 0;
-    /// Entries that could not be carried (seed relabeling changed, vertex
-    /// count grew, grouped-view class table destabilized, engine poisoned)
-    /// and were dropped; the next query for their key rebuilds cold.
+    /// Entries that could not be carried (vertex count grew, grouped-view
+    /// class table destabilized, engine poisoned) and were dropped; the
+    /// next query for their key rebuilds cold.
     uint64_t dropped = 0;
   };
 
@@ -168,9 +168,9 @@ class QueryService {
   /// `from` forward to `to`, where `to` is the registry snapshot that
   /// replaced `from` via GraphRegistry::Apply. For each warm entry the
   /// seeds are re-unified against the mutated graph; when the unified id
-  /// space is unchanged (same vertex count, root, and relabeling) the
-  /// entry's unified graph is swapped in place — the engine and pool hold
-  /// references, so addresses must not move — its grouped view is
+  /// space is unchanged (same vertex count and root) the entry's unified
+  /// graph is swapped in place — the engine and pool hold references, so
+  /// addresses must not move — its grouped view is
   /// delta-patched, and exactly the samples whose live-edge worlds touch
   /// changed rows are re-drawn (SpreadDecreaseEngine::MigrateGraph). The
   /// migrated engine is bit-identical to one cold-built on the mutated

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "cascade/exact_spread.h"
 #include "core/baseline_greedy.h"
@@ -348,6 +350,59 @@ TEST(GreedyReplaceTest, ReplacementCounterTracksSwaps) {
   EXPECT_EQ(sel.stats.replacements, 1u);
   ASSERT_EQ(sel.blockers.size(), 1u);
   EXPECT_EQ(inst.to_original[sel.blockers[0]], testing::kV5);
+}
+
+// Deterministic multi-seed instance: every edge has p=1 (always live) or
+// p=0 (never live), so every sampled world is the same graph. Gate
+// vertices 2/3/4 guard chains of strictly different lengths, so each
+// greedy pick is a unique maximum and the answer is known exactly.
+//
+//   seeds {0,1};  0 -> 2 -> 5 -> ... -> 13   (blocking 2 saves 10)
+//                 1 -> 3 -> 14 -> ... -> 18  (blocking 3 saves 6)
+//                 1 -> 4 -> 19 -> 20         (blocking 4 saves 3)
+//                 0 -> 21 (p=0 decoy)
+Graph DecisiveMultiSeedInstance() {
+  GraphBuilder builder;
+  builder.AddEdge(0, 2, 1.0);
+  builder.AddEdge(1, 3, 1.0);
+  builder.AddEdge(1, 4, 1.0);
+  const VertexId chain_a[] = {2, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  for (size_t i = 0; i + 1 < std::size(chain_a); ++i) {
+    builder.AddEdge(chain_a[i], chain_a[i + 1], 1.0);
+  }
+  const VertexId chain_b[] = {3, 14, 15, 16, 17, 18};
+  for (size_t i = 0; i + 1 < std::size(chain_b); ++i) {
+    builder.AddEdge(chain_b[i], chain_b[i + 1], 1.0);
+  }
+  builder.AddEdge(4, 19, 1.0);
+  builder.AddEdge(19, 20, 1.0);
+  builder.AddEdge(0, 21, 0.0);
+  auto g = builder.Build();
+  VBLOCK_CHECK(g.ok());
+  return std::move(*g);
+}
+
+TEST(SolverTest, MultiSeedSolvesReturnKnownOriginalIdBlockers) {
+  Graph g = DecisiveMultiSeedInstance();
+  const std::vector<VertexId> seeds = {0, 1};
+  for (Algorithm algorithm :
+       {Algorithm::kAdvancedGreedy, Algorithm::kGreedyReplace}) {
+    for (SampleReuse reuse : {SampleReuse::kPrune, SampleReuse::kResample}) {
+      SolverOptions opts;
+      opts.algorithm = algorithm;
+      opts.budget = 2;
+      opts.theta = 200;
+      opts.seed = 7;
+      opts.sample_reuse = reuse;
+      auto result = SolveImin(g, seeds, opts);
+      ASSERT_TRUE(result.ok());
+      std::vector<VertexId> blockers = result->blockers;
+      std::sort(blockers.begin(), blockers.end());
+      EXPECT_EQ(blockers, (std::vector<VertexId>{2, 3}))
+          << AlgorithmName(algorithm)
+          << " reuse=" << static_cast<int>(reuse);
+    }
+  }
 }
 
 TEST(SolverTest, MultiSeedSpreadFloorsAtSeedCount) {

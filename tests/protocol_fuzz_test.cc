@@ -107,12 +107,6 @@ Command RandomCommand(Rng& rng) {
                                              : SamplerKind::kGeometricSkip;
       }
       if (rng.NextBernoulli(0.7)) {
-        const VertexOrder orders[] = {VertexOrder::kOriginal,
-                                      VertexOrder::kDegreeDesc,
-                                      VertexOrder::kBfsFromRoot};
-        cmd.request.query.vertex_order = orders[rng.NextBounded(3)];
-      }
-      if (rng.NextBernoulli(0.7)) {
         cmd.request.query.time_limit_seconds = rng.NextDouble() * 100;
       }
       // TRACE is a plain flag: absent == false, "TRACE 1" == true. Both
@@ -238,7 +232,6 @@ TEST_P(ProtocolFuzz, SerializeParseRoundTrip) {
         EXPECT_EQ(a.seed, b.seed);
         EXPECT_EQ(a.sample_reuse, b.sample_reuse);
         EXPECT_EQ(a.sampler_kind, b.sampler_kind);
-        EXPECT_EQ(a.vertex_order, b.vertex_order);
         EXPECT_EQ(a.time_limit_seconds, b.time_limit_seconds);
         EXPECT_EQ(a.trace, b.trace);
         EXPECT_EQ(reparsed->request.deadline_seconds,

@@ -799,9 +799,17 @@ TEST(QueryServiceTest, TypedValidationErrors) {
   EXPECT_EQ(service.SubmitAndWait(request).status().code(),
             StatusCode::kInvalidArgument);
 
+  // BG with zero Monte-Carlo rounds would abort a worker thread.
+  request.query.theta = std::nullopt;
+  request.query.algorithm = Algorithm::kBaselineGreedy;
+  request.query.mc_rounds = 0;
+  EXPECT_EQ(service.SubmitAndWait(request).status().code(),
+            StatusCode::kInvalidArgument);
+  request.query.algorithm = Algorithm::kGreedyReplace;
+  request.query.mc_rounds = std::nullopt;
+
   // Non-finite deadline / time limit must be rejected before touching the
   // ordered dedup key (NaN would break its strict weak ordering).
-  request.query.theta = std::nullopt;
   request.deadline_seconds = std::nan("");
   EXPECT_EQ(service.SubmitAndWait(request).status().code(),
             StatusCode::kInvalidArgument);
@@ -811,7 +819,7 @@ TEST(QueryServiceTest, TypedValidationErrors) {
   EXPECT_EQ(service.SubmitAndWait(request).status().code(),
             StatusCode::kInvalidArgument);
 
-  EXPECT_EQ(Cell(service, "vblock_requests_invalid_total"), 6);
+  EXPECT_EQ(Cell(service, "vblock_requests_invalid_total"), 7);
   EXPECT_EQ(Cell(service, "vblock_requests_completed_total"), 0);
 }
 
@@ -837,6 +845,10 @@ TEST(QueryServiceTest, EvaluateMatchesDirectEvaluateSpread) {
   request.blockers = {100000};
   EXPECT_EQ(service.Evaluate(request).status().code(),
             StatusCode::kOutOfRange);
+  request.blockers = {5, 9};
+  request.options.mc_rounds = 0;
+  EXPECT_EQ(service.Evaluate(request).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryServiceTest, StatsSnapshotIsCoherent) {
@@ -965,6 +977,7 @@ TEST(ProtocolTest, ParserRejectsMalformedLines) {
            "SOLVE g SEEDS 1 WAT 3",             // unknown flag
            "SOLVE g SEEDS 1 ALG zz",            // unknown algorithm
            "SOLVE g SEEDS 1 REUSE maybe",       // unknown mode
+           "SOLVE g SEEDS 1 RELABEL bfs",       // removed flag
            "SOLVE g SEEDS 1 BUDGET 4294967297", // > uint32: no truncation
            "SOLVE g SEEDS 1 THETA 99999999999", // > uint32: no truncation
            "SOLVE g SEEDS 1 DEADLINE nan",      // NaN breaks dedup ordering
@@ -996,6 +1009,22 @@ TEST(ProtocolTest, ParserRejectsMalformedLines) {
     ASSERT_FALSE(cmd.ok());
     EXPECT_EQ(cmd.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(ProtocolTest, ZeroRoundRequestsFailTypedAndSessionServesOn) {
+  ServiceSession session(FastOptions());
+  ASSERT_TRUE(session.Execute("LOAD g GEN EmailCore SCALE 0.05 SEED 7")
+                  .starts_with("OK graph=g"));
+
+  std::string bg = session.Execute("SOLVE g SEEDS 1 BUDGET 2 ALG bg MC 0");
+  EXPECT_TRUE(bg.starts_with("ERR InvalidArgument")) << bg;
+  std::string eval = session.Execute("EVAL g SEEDS 1 BLOCKERS - ROUNDS 0");
+  EXPECT_TRUE(eval.starts_with("ERR InvalidArgument")) << eval;
+
+  std::string solve = session.Execute("SOLVE g SEEDS 1 BUDGET 2 ALG bg MC 20");
+  EXPECT_TRUE(solve.starts_with("OK blockers=")) << solve;
+  eval = session.Execute("EVAL g SEEDS 1 BLOCKERS - ROUNDS 100");
+  EXPECT_TRUE(eval.starts_with("OK spread=")) << eval;
 }
 
 TEST(ProtocolTest, SessionEndToEnd) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "cascade/exact_spread.h"
 #include "cascade/monte_carlo.h"
 #include "core/unified_instance.h"
@@ -87,6 +91,53 @@ TEST(UnifySeedsTest, DuplicateSeedsDeduplicated) {
   Graph g = PathGraph(5, 1.0);
   UnifiedInstance inst = UnifySeeds(g, {0, 0, 0});
   EXPECT_EQ(inst.num_seeds, 1u);
+}
+
+TEST(UnifySeedsTest, MultiSeedRootIsLastAndIdMapsComposeToIdentity) {
+  Graph g = WithWeightedCascade(GenerateBarabasiAlbert(120, 3, 41));
+  const std::vector<VertexId> seeds = {0, 3, 7};
+  auto is_seed = [&seeds](VertexId v) {
+    return std::find(seeds.begin(), seeds.end(), v) != seeds.end();
+  };
+  UnifiedInstance inst = UnifySeeds(g, seeds);
+  ASSERT_EQ(inst.graph.NumVertices(), g.NumVertices() - seeds.size() + 1);
+  EXPECT_EQ(inst.root, inst.graph.NumVertices() - 1);
+  EXPECT_EQ(inst.num_seeds, seeds.size());
+  EXPECT_EQ(inst.to_original[inst.root], kInvalidVertex);
+
+  // to_original ∘ to_unified is the identity on non-seeds; seeds vanish.
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (is_seed(v)) {
+      EXPECT_EQ(inst.to_unified[v], kInvalidVertex);
+    } else {
+      ASSERT_NE(inst.to_unified[v], kInvalidVertex);
+      EXPECT_EQ(inst.to_original[inst.to_unified[v]], v);
+    }
+  }
+
+  // Mapped back to original ids, the non-root edges are exactly the
+  // original non-seed -> non-seed edges, probabilities bit-for-bit.
+  using MappedEdge = std::tuple<VertexId, VertexId, double>;
+  std::vector<MappedEdge> expected, mapped;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    if (is_seed(u)) continue;
+    auto targets = g.OutNeighbors(u);
+    auto probs = g.OutProbabilities(u);
+    for (size_t k = 0; k < targets.size(); ++k) {
+      if (!is_seed(targets[k])) expected.emplace_back(u, targets[k], probs[k]);
+    }
+  }
+  for (VertexId u = 0; u < inst.root; ++u) {
+    auto targets = inst.graph.OutNeighbors(u);
+    auto probs = inst.graph.OutProbabilities(u);
+    for (size_t k = 0; k < targets.size(); ++k) {
+      mapped.emplace_back(inst.to_original[u], inst.to_original[targets[k]],
+                          probs[k]);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(mapped.begin(), mapped.end());
+  EXPECT_EQ(mapped, expected);
 }
 
 TEST(UnifySeedsTest, SpreadEquivalenceMultiSeedExact) {
