@@ -10,9 +10,11 @@
 // the cold path, and warm QPS ≥ 5× cold QPS (advisory in CI).
 //
 // A second section drives the same service through the TCP front-end
-// (net/tcp_server.h, cache sharded 4 ways) with the closed-loop load
-// generator at 1/16/256/1024 concurrent connections, reporting QPS and
-// latency percentiles per tier (ISSUE 6; advisory in CI).
+// (net/tcp_server.h) with the closed-loop load generator at
+// 1/16/256/1024 concurrent connections, reporting QPS and latency
+// percentiles per tier (advisory in CI), plus the pool hits and misses
+// the tiers recorded: the 8 pre-warmed keys fit the cache budget, so
+// pool_misses must be 0.
 //
 // Environment knobs (defaults are the tiny synthetic config):
 //   VBLOCK_SERVICE_BENCH_N        vertices            (default 10000)
@@ -111,7 +113,7 @@ int main() {
                              : 0.0;
 
   // ------------------------------------------------ TCP front-end tiers --
-  // A separate service instance (sharded cache, multiple workers) behind a
+  // A separate service instance (multiple workers) behind a
   // real TcpServer, hammered by the closed-loop generator. The request mix
   // is 8 distinct warm pool keys (SEED rotates), pre-warmed so every tier
   // measures the steady state rather than the one-off θ-sample builds.
@@ -123,7 +125,6 @@ int main() {
 
   ServiceOptions tcp_options = options;
   tcp_options.num_threads = tcp_threads;
-  tcp_options.cache.shards = 4;
   QueryService tcp_service(&registry, tcp_options);
 
   std::vector<std::string> request_lines;
@@ -137,6 +138,8 @@ int main() {
                   static_cast<unsigned long long>(seed + s));
     request_lines.push_back(line);
   }
+
+  const PoolCache::Stats tcp_warmed = tcp_service.pool_cache().stats();
 
   TcpServerOptions server_options;
   server_options.max_connections = tcp_max_conns + 64;
@@ -162,6 +165,7 @@ int main() {
   }
   server.RequestDrain();
   server_thread.join();
+  const PoolCache::Stats tcp_after = tcp_service.pool_cache().stats();
 
   std::printf(
       "{\n"
@@ -181,8 +185,9 @@ int main() {
       "  \"identical_blocker_sets\": %s,\n"
       "  \"tcp\": {\n"
       "    \"threads\": %u,\n"
-      "    \"cache_shards\": 4,\n"
       "    \"seconds_per_tier\": %u,\n"
+      "    \"pool_hits\": %llu,\n"
+      "    \"pool_misses\": %llu,\n"
       "    \"tiers\": [\n",
       n,
       static_cast<unsigned long long>(
@@ -190,7 +195,9 @@ int main() {
       theta, budget, iters, reuse == SampleReuse::kPrune ? "prune" : "resample",
       cold_seconds, warm_seconds, cold_qps, warm_qps, speedup,
       all_warm_hits ? "true" : "false", identical ? "true" : "false",
-      tcp_threads, tcp_seconds);
+      tcp_threads, tcp_seconds,
+      static_cast<unsigned long long>(tcp_after.hits - tcp_warmed.hits),
+      static_cast<unsigned long long>(tcp_after.misses - tcp_warmed.misses));
   bool tcp_clean = true;
   for (size_t i = 0; i < tiers.size(); ++i) {
     const TierResult& tier = tiers[i];

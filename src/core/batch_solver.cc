@@ -152,8 +152,11 @@ void RunGreedyReplaceGroup(const Graph& g, const Group& group,
 
 }  // namespace
 
-QueryKey ResolveQueryKey(const IminQuery& q, const SolverOptions& defaults) {
+SolverOptions ResolveSolverOptions(const IminQuery& q,
+                                   const SolverOptions& defaults) {
   SolverOptions resolved = defaults;
+  resolved.algorithm = q.algorithm;
+  resolved.budget = q.budget;
   resolved.theta = q.theta.value_or(defaults.theta);
   resolved.mc_rounds = q.mc_rounds.value_or(defaults.mc_rounds);
   resolved.seed = q.seed.value_or(defaults.seed);
@@ -161,7 +164,7 @@ QueryKey ResolveQueryKey(const IminQuery& q, const SolverOptions& defaults) {
   resolved.sampler_kind = q.sampler_kind.value_or(defaults.sampler_kind);
   resolved.time_limit_seconds =
       q.time_limit_seconds.value_or(defaults.time_limit_seconds);
-  return CanonicalQueryKey(q.seeds, q.algorithm, resolved);
+  return resolved;
 }
 
 BatchSolver::BatchSolver(const Graph& g, const BatchOptions& options)
@@ -178,12 +181,13 @@ BatchResult BatchSolver::Solve(const std::vector<IminQuery>& queries) const {
   std::map<GroupKey, std::vector<Member>> grouping;
   for (uint32_t i = 0; i < queries.size(); ++i) {
     const IminQuery& q = queries[i];
-    Status valid = ValidateIminQuery(graph_, q.seeds, q.budget);
+    const SolverOptions resolved = ResolveSolverOptions(q, options_.defaults);
+    Status valid = ValidateIminQuery(graph_, q.seeds, resolved);
     if (!valid.ok()) {
       out.queries[i].status = std::move(valid);
       continue;
     }
-    grouping[ResolveQueryKey(q, options_.defaults)].push_back(
+    grouping[CanonicalQueryKey(q.seeds, q.algorithm, resolved)].push_back(
         Member{i, q.budget, q.trace || options_.defaults.trace});
   }
 

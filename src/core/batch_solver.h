@@ -64,7 +64,7 @@ struct IminQuery {
   std::optional<SamplerKind> sampler_kind;
   std::optional<double> time_limit_seconds;
   /// Request a per-stage SolveTrace on this query's result. NOT part of
-  /// the work-sharing key (ResolveQueryKey ignores it — tracing never
+  /// the work-sharing key (ResolveSolverOptions ignores it — tracing never
   /// changes result bits, so traced and untraced queries share groups);
   /// members of a shared run receive the run's shared trace.
   bool trace = false;
@@ -135,12 +135,14 @@ class BatchSolver {
   BatchOptions options_;
 };
 
-/// Resolves a query's per-field overrides against `defaults` and returns
-/// its canonical work-sharing key (core/query_key.h) — the exact key
-/// BatchSolver groups on. Public so the other amortization layers (the
-/// service's PoolCache and request deduplication) key identically by
-/// construction; tests/batch_solver_test.cc pins the agreement.
-QueryKey ResolveQueryKey(const IminQuery& q, const SolverOptions& defaults);
+/// Applies a query's algorithm, budget and per-field overrides to
+/// `defaults`: the options its solve runs with, and what ValidateIminQuery
+/// checks. CanonicalQueryKey (core/query_key.h) over these options is the
+/// exact key BatchSolver groups on; the service's PoolCache and request
+/// deduplication key through the same two calls, so all three agree by
+/// construction (tests/batch_solver_test.cc pins it).
+SolverOptions ResolveSolverOptions(const IminQuery& q,
+                                   const SolverOptions& defaults);
 
 /// Facade convenience wrapper: BatchSolver(g, options).Solve(queries).
 BatchResult SolveIminBatch(const Graph& g,

@@ -1,6 +1,8 @@
 #include "core/solver.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -33,7 +35,7 @@ const char* AlgorithmName(Algorithm algorithm) {
 }
 
 Status ValidateIminQuery(const Graph& g, const std::vector<VertexId>& seeds,
-                         uint32_t budget) {
+                         const SolverOptions& options) {
   if (seeds.empty()) {
     return Status::InvalidArgument("seed set must not be empty");
   }
@@ -56,10 +58,24 @@ Status ValidateIminQuery(const Graph& g, const std::vector<VertexId>& seeds,
   }
   const VertexId non_seeds =
       g.NumVertices() - static_cast<VertexId>(seeds.size());
-  if (budget > non_seeds) {
+  if (options.budget > non_seeds) {
     return Status::InvalidArgument(
-        "budget " + std::to_string(budget) + " exceeds the " +
+        "budget " + std::to_string(options.budget) + " exceeds the " +
         std::to_string(non_seeds) + " blockable (non-seed) vertices");
+  }
+  if (!std::isfinite(options.time_limit_seconds)) {
+    return Status::InvalidArgument("time limit must be finite");
+  }
+  const std::string name = AlgorithmName(options.algorithm);
+  if ((options.algorithm == Algorithm::kAdvancedGreedy ||
+       options.algorithm == Algorithm::kGreedyReplace) &&
+      options.theta == 0) {
+    return Status::InvalidArgument("theta must be positive for " + name);
+  }
+  if (options.algorithm == Algorithm::kBaselineGreedy &&
+      options.mc_rounds == 0) {
+    return Status::InvalidArgument(
+        "Monte-Carlo rounds must be positive for " + name);
   }
   return Status::OK();
 }
@@ -67,7 +83,7 @@ Status ValidateIminQuery(const Graph& g, const std::vector<VertexId>& seeds,
 Result<SolverResult> SolveImin(const Graph& g,
                                const std::vector<VertexId>& seeds,
                                const SolverOptions& options) {
-  Status valid = ValidateIminQuery(g, seeds, options.budget);
+  Status valid = ValidateIminQuery(g, seeds, options);
   if (!valid.ok()) return valid;
 
   SolverResult result;

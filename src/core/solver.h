@@ -101,17 +101,24 @@ struct SolverResult {
   std::shared_ptr<obs::SolveTrace> trace;
 };
 
-/// Checks an IMIN query against the graph it targets. Non-OK when:
+/// Checks an IMIN query against the graph it targets. `options` are the
+/// fully resolved knobs the solve will run with. Non-OK when:
 ///  - the seed set is empty                        (InvalidArgument)
 ///  - a seed id is >= g.NumVertices()              (OutOfRange)
 ///  - a seed id occurs more than once              (InvalidArgument)
-///  - budget exceeds the number of non-seed        (InvalidArgument)
-///    vertices — the algorithms would silently return fewer blockers than
-///    asked for. budget == #non-seeds stays valid: blocking every
-///    candidate is a legitimate (if degenerate) query.
-/// Shared by SolveImin and the batch solver so both reject identically.
+///  - options.budget exceeds the number of         (InvalidArgument)
+///    non-seed vertices — the algorithms would silently return fewer
+///    blockers than asked for. budget == #non-seeds stays valid: blocking
+///    every candidate is a legitimate (if degenerate) query.
+///  - options.time_limit_seconds is not finite     (InvalidArgument)
+///    (the batch solver and the service order keys on it; NaN would break
+///    the ordering)
+///  - options.theta is 0 for AG/GR                 (InvalidArgument)
+///  - options.mc_rounds is 0 for BG                (InvalidArgument)
+/// Shared by SolveImin, the batch solver and the query service so all
+/// three reject identically.
 Status ValidateIminQuery(const Graph& g, const std::vector<VertexId>& seeds,
-                         uint32_t budget);
+                         const SolverOptions& options);
 
 /// Solves the IMIN instance (G, S, b) with the chosen algorithm. Returns
 /// the ValidateIminQuery error instead of silently clamping malformed

@@ -77,7 +77,7 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     snap.help = entry.help;
     snap.type = entry.type;
     if (entry.histogram) {
-      snap.histogram = entry.histogram->Merged();
+      snap.histogram = entry.histogram->Value();
     } else if (entry.counter) {
       snap.value = static_cast<double>(entry.counter->Value());
     } else if (entry.float_counter) {

@@ -1,11 +1,11 @@
 // Copyright (c) the vblock authors. Licensed under the MIT license.
 //
 // Unified metrics registry: named counters, gauges, and histograms with
-// cheap sharded-atomic recording and snapshot iteration.
+// cheap atomic recording and snapshot iteration.
 //
 // The registry is the one place a metric lives: components register
-// instruments once (stable pointers, recording is lock-free or
-// shard-locked) or register a callback that projects an existing ledger
+// instruments once (stable pointers; recording is one atomic or one
+// short mutex hold) or register a callback that projects an existing ledger
 // into the snapshot, and every consumer — the STATS line, the METRICS
 // Prometheus exposition, tests — reads the same Snapshot(). A second
 // component records into a cell by re-Getting its name (the TCP
@@ -13,12 +13,11 @@
 //
 // Instrument taxonomy:
 //  * Counter        — monotonic uint64; recording is one relaxed atomic
-//                     add on a per-thread cache-line-padded shard (no
-//                     contention between recording threads).
+//                     add.
 //  * FloatCounter   — monotonic double (seconds totals); CAS-loop add.
 //  * Gauge          — instantaneous int64, Set/Add.
-//  * HistogramMetric— distribution over common/histogram.h buckets;
-//                     per-shard mutex, merged at snapshot time.
+//  * HistogramMetric— distribution over common/histogram.h buckets under
+//                     one mutex.
 //  * callbacks      — registered functions evaluated at Snapshot() that
 //                     project derived or externally-owned values (cache
 //                     ledger sums, registry sizes, sliding-window rates)
@@ -38,7 +37,6 @@
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -53,40 +51,17 @@
 
 namespace vblock::obs {
 
-/// Monotonic counter, sharded across cache lines so concurrent recorders
-/// never contend on one atomic. Value() sums the shards (approximate only
-/// while increments are in flight; exact at quiescence).
+/// Monotonic counter: one relaxed atomic.
 class Counter {
  public:
-  static constexpr uint32_t kShards = 8;
-
   void Increment(uint64_t n = 1) {
-    shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> value{0};
-  };
-
-  // Each thread records into a fixed shard assigned round-robin on first
-  // use; cheaper and better-distributed than hashing thread ids per call.
-  static uint32_t ShardIndex() {
-    static std::atomic<uint32_t> next{0};
-    thread_local const uint32_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    return slot;
-  }
-
-  std::array<Shard, kShards> shards_;
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Monotonic double counter (stage-seconds totals). Add is a CAS loop —
@@ -119,42 +94,23 @@ class Gauge {
 };
 
 /// Distribution instrument over the fixed log-scale bucket layout of
-/// common/histogram.h. Recording locks one of kShards thread-affine
-/// mutexes (the Histogram itself is not synchronized); Merged() folds the
-/// shards into one histogram for snapshots.
+/// common/histogram.h. The Histogram itself is not synchronized, so
+/// recording and reading lock one mutex; Value() copies it for snapshots.
 class HistogramMetric {
  public:
-  static constexpr uint32_t kShards = 8;
-
   void Record(double value) {
-    Shard& s = shards_[ShardIndex()];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.histogram.Record(value);
+    std::lock_guard<std::mutex> lock(mutex_);
+    histogram_.Record(value);
   }
 
-  Histogram Merged() const {
-    Histogram merged;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      merged.Merge(s.histogram);
-    }
-    return merged;
+  Histogram Value() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return histogram_;
   }
 
  private:
-  struct alignas(64) Shard {
-    mutable std::mutex mutex;
-    Histogram histogram;
-  };
-
-  static uint32_t ShardIndex() {
-    static std::atomic<uint32_t> next{0};
-    thread_local const uint32_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kShards;
-    return slot;
-  }
-
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mutex_;
+  Histogram histogram_;
 };
 
 /// Exposition type of one registered metric.

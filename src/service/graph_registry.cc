@@ -1,6 +1,5 @@
 #include "service/graph_registry.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "gen/dataset_catalog.h"
@@ -24,30 +23,7 @@ Graph ApplyProbModel(Graph g, const GraphLoadOptions& options) {
   return g;
 }
 
-// FNV-1a over the name: stable across runs (shard placement is part of no
-// contract, but determinism keeps the sharding tests simple).
-uint64_t HashName(const std::string& name) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : name) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
-
-GraphRegistry::GraphRegistry(uint32_t num_shards) {
-  const uint32_t count = num_shards < 1 ? 1 : num_shards;
-  shards_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-GraphRegistry::Shard& GraphRegistry::ShardFor(const std::string& name) const {
-  return *shards_[HashName(name) % shards_.size()];
-}
 
 GraphRegistry::SnapshotPtr GraphRegistry::Install(const std::string& name,
                                                   Graph graph,
@@ -59,12 +35,11 @@ GraphRegistry::SnapshotPtr GraphRegistry::Install(const std::string& name,
   // Warm after the move so the view (whether transferred in by the move
   // or built fresh here) is ready on the snapshot before it is published.
   if (warm_grouped_view) snapshot->graph.GroupedView();
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  // Epoch drawn under the shard lock: replacing a name is thereby
-  // guaranteed to publish a strictly larger epoch than its predecessor's.
-  snapshot->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
-  auto [it, inserted] = shard.graphs.try_emplace(name, snapshot);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Epoch drawn under the lock: replacing a name is thereby guaranteed to
+  // publish a strictly larger epoch than its predecessor's.
+  snapshot->epoch = next_epoch_++;
+  auto [it, inserted] = graphs_.try_emplace(name, snapshot);
   if (replaced_epoch != nullptr) {
     *replaced_epoch = inserted ? 0 : it->second->epoch;
   }
@@ -111,7 +86,7 @@ Result<GraphRegistry::ApplyOutcome> GraphRegistry::Apply(
   if (!current.ok()) return current.status();
   const SnapshotPtr previous = *current;
 
-  // Heavy work outside the shard lock: validate + rebuild the CSR, then
+  // Heavy work outside the lock: validate + rebuild the CSR, then
   // carry the grouped view forward. The delta patch recomputes only the
   // per-vertex runs the changed rows touch; when the class table is
   // unstable (a probability value vanished or appeared out of order) the
@@ -136,61 +111,55 @@ Result<GraphRegistry::ApplyOutcome> GraphRegistry::Apply(
     }
   }
 
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.graphs.find(name);
-  if (it == shard.graphs.end() || it->second != previous) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = graphs_.find(name);
+  if (it == graphs_.end() || it->second != previous) {
     return Status::FailedPrecondition(
         "graph '" + name + "' was concurrently replaced during Apply");
   }
-  snapshot->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
+  snapshot->epoch = next_epoch_++;
   it->second = snapshot;
   return ApplyOutcome{snapshot, previous};
 }
 
 Result<GraphRegistry::SnapshotPtr> GraphRegistry::Get(
     const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.graphs.find(name);
-  if (it == shard.graphs.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = graphs_.find(name);
+  if (it == graphs_.end()) {
     return Status::NotFound("no graph named '" + name + "'");
   }
   return it->second;
 }
 
 bool GraphRegistry::Remove(const std::string& name, uint64_t* removed_epoch) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.graphs.find(name);
-  if (it == shard.graphs.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = graphs_.find(name);
+  if (it == graphs_.end()) {
     if (removed_epoch != nullptr) *removed_epoch = 0;
     return false;
   }
   if (removed_epoch != nullptr) *removed_epoch = it->second->epoch;
-  shard.graphs.erase(it);
+  graphs_.erase(it);
   return true;
 }
 
 std::vector<std::string> GraphRegistry::List() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
-  for (const auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    for (const auto& [name, snapshot] : shard_ptr->graphs) {
-      names.push_back(name);
-    }
-  }
-  std::sort(names.begin(), names.end());
+  names.reserve(graphs_.size());
+  for (const auto& [name, snapshot] : graphs_) names.push_back(name);
   return names;
 }
 
 size_t GraphRegistry::size() const {
-  size_t total = 0;
-  for (const auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    total += shard_ptr->graphs.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return graphs_.size();
+}
+
+uint64_t GraphRegistry::epochs_installed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return next_epoch_ - 1;
 }
 
 }  // namespace vblock

@@ -21,25 +21,19 @@
 // with a GraphDelta (graph/graph_delta.h) into a fresh epoch, delta-
 // patching the grouped view (ProbGroupedView::DeltaPatched) instead of
 // re-analyzing the whole graph when the class table is stable. Epochs
-// stay globally monotonic: the new epoch is drawn under the shard lock,
-// so it is strictly greater than the epoch it replaces and than any epoch
-// published earlier by any thread.
+// stay globally monotonic: the new epoch is drawn under the registry
+// lock, so it is strictly greater than the epoch it replaces and than any
+// epoch published earlier by any thread.
 //
-// Sharding (docs/DESIGN.md §9): every request resolves its graph through
-// Get(), so under many concurrent TCP clients a single registry mutex is
-// on the hot path of every solve. The name → snapshot map is therefore
-// split into `num_shards` independently locked shards addressed by a
-// stable string hash of the name; the epoch counter is a lock-free atomic.
-// Per-name semantics (replace bumps the epoch, handles stay valid) are
-// untouched because a name always lands in the same shard; List()/size()
-// aggregate across shards and keep returning sorted names.
+// One mutex guards the name → snapshot map and the epoch counter
+// (docs/DESIGN.md §9); it is held only for a map operation, never while a
+// graph is loaded, built or patched.
 //
 // Loading pre-warms Graph::GroupedView() by default so the first
 // geometric-skip query doesn't pay the one-time grouping analysis.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -80,15 +74,6 @@ struct GraphLoadOptions {
 /// Thread-safe name → immutable graph snapshot map.
 class GraphRegistry {
  public:
-  /// Default lock-shard count (see header comment). A snapshot lookup is a
-  /// map find under a shard mutex; 8 shards keep even hundreds of
-  /// connections from serializing on one lock while costing a few hundred
-  /// bytes.
-  static constexpr uint32_t kDefaultShards = 8;
-
-  /// `num_shards` independently locked name shards (clamped to >= 1).
-  explicit GraphRegistry(uint32_t num_shards = kDefaultShards);
-
   /// One registered graph. Immutable after construction; the epoch is
   /// unique across the registry's lifetime and strictly increases with
   /// registration order.
@@ -134,7 +119,7 @@ class GraphRegistry {
   /// Applies `delta` to the current snapshot of `name` and installs the
   /// mutated graph under a fresh (strictly larger) epoch. The heavy work —
   /// delta validation, CSR rebuild, grouped-view patching — runs outside
-  /// the shard lock; if another thread replaces the name meanwhile, Apply
+  /// the lock; if another thread replaces the name meanwhile, Apply
   /// refuses with FailedPrecondition instead of clobbering the newer
   /// snapshot (the delta was validated against data that no longer
   /// exists). NotFound when the name is absent, InvalidArgument when the
@@ -159,24 +144,15 @@ class GraphRegistry {
   /// Epochs handed out so far (registrations + Apply installs, including
   /// replaced and removed ones) — the monotonic `graph_epochs_installed`
   /// counter the metrics registry projects.
-  uint64_t epochs_installed() const {
-    return next_epoch_.load(std::memory_order_relaxed) - 1;
-  }
-
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
+  uint64_t epochs_installed() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<std::string, SnapshotPtr> graphs;
-  };
-
   SnapshotPtr Install(const std::string& name, Graph graph,
                       bool warm_grouped_view, uint64_t* replaced_epoch);
-  Shard& ShardFor(const std::string& name) const;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> next_epoch_{1};
+  mutable std::mutex mutex_;
+  std::map<std::string, SnapshotPtr> graphs_;
+  uint64_t next_epoch_ = 1;
 };
 
 }  // namespace vblock

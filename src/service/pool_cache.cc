@@ -1,30 +1,10 @@
 #include "service/pool_cache.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/rng.h"
-
 namespace vblock {
-namespace {
 
-// Splits the global budget evenly; every shard gets at least one byte so a
-// tiny budget with many shards still admits nothing larger than its slice
-// (mirroring the unsharded "entry bigger than the budget" drop rule).
-uint64_t ShardBudget(uint64_t max_bytes, size_t shards) {
-  return std::max<uint64_t>(1, max_bytes / shards);
-}
-
-}  // namespace
-
-PoolCache::PoolCache(const Options& options) : max_bytes_(options.max_bytes) {
-  const uint32_t count = std::max<uint32_t>(1, options.shards);
-  shards_.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->max_bytes = ShardBudget(options.max_bytes, count);
-  }
-}
+PoolCache::PoolCache(const Options& options) : max_bytes_(options.max_bytes) {}
 
 std::optional<PoolCache::Key> PoolCache::KeyFor(uint64_t graph_epoch,
                                                 const QueryKey& key) {
@@ -44,177 +24,117 @@ std::optional<PoolCache::Key> PoolCache::KeyFor(uint64_t graph_epoch,
   return pool_key;
 }
 
-uint64_t PoolCache::HashKey(const Key& key) {
-  // SplitMix64 over every field that participates in operator< — two equal
-  // keys must hash equally or a key could land in two shards.
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h = SplitMix64Next(h);
-  };
-  mix(key.graph_epoch);
-  mix(static_cast<uint64_t>(key.query.algorithm));
-  mix(key.query.theta);
-  mix(key.query.mc_rounds);
-  mix(key.query.seed);
-  mix(static_cast<uint64_t>(key.query.sample_reuse));
-  mix(static_cast<uint64_t>(key.query.sampler_kind));
-  // time_limit_seconds is a double; hash its bits (finite by validation).
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(key.query.time_limit_seconds));
-  __builtin_memcpy(&bits, &key.query.time_limit_seconds, sizeof(bits));
-  mix(bits);
-  for (VertexId v : key.query.seeds) mix(v);
-  mix(key.query.seeds.size());
-  return h;
-}
-
-PoolCache::Shard& PoolCache::ShardFor(const Key& key) {
-  return *shards_[HashKey(key) % shards_.size()];
-}
-
 std::unique_ptr<WarmEntry> PoolCache::Acquire(const Key& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.stats.misses;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++stats_.misses;
     return nullptr;
   }
-  ++shard.stats.hits;
+  ++stats_.hits;
   std::unique_ptr<WarmEntry> entry = std::move(it->second.entry);
-  shard.stats.bytes_in_use -= entry->bytes;
-  shard.lru.erase(it->second.lru_pos);
-  shard.entries.erase(it);
-  --shard.stats.entries;
+  stats_.bytes_in_use -= entry->bytes;
+  lru_.erase(it->second.lru_pos);
+  entries_.erase(it);
+  --stats_.entries;
   return entry;
 }
 
 void PoolCache::Release(const Key& key, std::unique_ptr<WarmEntry> entry) {
   if (!entry) return;
   entry->AccountBytes();
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
     // A concurrent cold build beat us to the slot; keep exactly one copy
     // (they are interchangeable — both are restored pristine engines).
-    EraseLocked(shard, it, /*count_eviction=*/true);
+    EvictLocked(it);
   }
-  ++shard.stats.inserts;
-  shard.lru.push_front(key);
+  ++stats_.inserts;
+  lru_.push_front(key);
   Slot slot;
   slot.entry = std::move(entry);
-  slot.lru_pos = shard.lru.begin();
-  shard.stats.bytes_in_use += slot.entry->bytes;
-  ++shard.stats.entries;
-  shard.entries.emplace(key, std::move(slot));
-  EvictOverBudgetLocked(shard);
+  slot.lru_pos = lru_.begin();
+  stats_.bytes_in_use += slot.entry->bytes;
+  ++stats_.entries;
+  entries_.emplace(key, std::move(slot));
+  EvictOverBudgetLocked();
 }
 
-void PoolCache::EraseLocked(Shard& shard, std::map<Key, Slot>::iterator it,
-                            bool count_eviction) {
-  shard.stats.bytes_in_use -= it->second.entry->bytes;
-  shard.lru.erase(it->second.lru_pos);
-  --shard.stats.entries;
-  if (count_eviction) ++shard.stats.evictions;
-  shard.entries.erase(it);
+void PoolCache::EvictLocked(std::map<Key, Slot>::iterator it) {
+  stats_.bytes_in_use -= it->second.entry->bytes;
+  lru_.erase(it->second.lru_pos);
+  --stats_.entries;
+  ++stats_.evictions;
+  entries_.erase(it);
 }
 
-void PoolCache::EvictOverBudgetLocked(Shard& shard) {
-  while (shard.stats.bytes_in_use > shard.max_bytes && !shard.lru.empty()) {
-    auto victim = shard.entries.find(shard.lru.back());
-    EraseLocked(shard, victim, /*count_eviction=*/true);
+void PoolCache::EvictOverBudgetLocked() {
+  while (stats_.bytes_in_use > max_bytes_ && !lru_.empty()) {
+    EvictLocked(entries_.find(lru_.back()));
   }
 }
 
 uint64_t PoolCache::EvictGraph(uint64_t graph_epoch) {
+  std::lock_guard<std::mutex> lock(mutex_);
   uint64_t dropped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      auto next = std::next(it);
-      if (it->first.graph_epoch == graph_epoch) {
-        EraseLocked(shard, it, /*count_eviction=*/true);
-        ++shard.stats.evicted_stale;
-        ++dropped;
-      }
-      it = next;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    auto next = std::next(it);
+    if (it->first.graph_epoch == graph_epoch) {
+      EvictLocked(it);
+      ++stats_.evicted_stale;
+      ++dropped;
     }
+    it = next;
   }
   return dropped;
 }
 
 std::vector<std::pair<PoolCache::Key, std::unique_ptr<WarmEntry>>>
 PoolCache::TakeEpoch(uint64_t graph_epoch) {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<Key, std::unique_ptr<WarmEntry>>> taken;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      auto next = std::next(it);
-      if (it->first.graph_epoch == graph_epoch) {
-        taken.emplace_back(it->first, std::move(it->second.entry));
-        shard.stats.bytes_in_use -= taken.back().second->bytes;
-        shard.lru.erase(it->second.lru_pos);
-        --shard.stats.entries;
-        ++shard.stats.migrations;
-        shard.entries.erase(it);
-      }
-      it = next;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    auto next = std::next(it);
+    if (it->first.graph_epoch == graph_epoch) {
+      taken.emplace_back(it->first, std::move(it->second.entry));
+      stats_.bytes_in_use -= taken.back().second->bytes;
+      lru_.erase(it->second.lru_pos);
+      --stats_.entries;
+      ++stats_.migrations;
+      entries_.erase(it);
     }
+    it = next;
   }
   return taken;
 }
 
-void PoolCache::CountStaleDrop(const Key& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.stats.evicted_stale;
+void PoolCache::CountStaleDrop() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.evicted_stale;
 }
 
 uint64_t PoolCache::EvictAll() {
-  uint64_t dropped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      auto next = std::next(it);
-      EraseLocked(shard, it, /*count_eviction=*/true);
-      ++dropped;
-      it = next;
-    }
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  const uint64_t dropped = entries_.size();
+  while (!entries_.empty()) EvictLocked(entries_.begin());
   return dropped;
 }
 
+uint64_t PoolCache::max_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return max_bytes_;
+}
+
 void PoolCache::set_max_bytes(uint64_t max_bytes) {
-  max_bytes_.store(max_bytes, std::memory_order_relaxed);
-  const uint64_t per_shard = ShardBudget(max_bytes, shards_.size());
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.max_bytes = per_shard;
-    EvictOverBudgetLocked(shard);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  max_bytes_ = max_bytes;
+  EvictOverBudgetLocked();
 }
 
 PoolCache::Stats PoolCache::stats() const {
-  Stats total;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total.hits += shard.stats.hits;
-    total.misses += shard.stats.misses;
-    total.inserts += shard.stats.inserts;
-    total.evictions += shard.stats.evictions;
-    total.migrations += shard.stats.migrations;
-    total.evicted_stale += shard.stats.evicted_stale;
-    total.bytes_in_use += shard.stats.bytes_in_use;
-    total.entries += shard.stats.entries;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
 }  // namespace vblock

@@ -1,6 +1,6 @@
 // Copyright (c) the vblock authors. Licensed under the MIT license.
 //
-// Sharded LRU cache of warmed θ-sample scoring engines.
+// LRU cache of warmed θ-sample scoring engines.
 //
 // Building a SpreadDecreaseEngine — unify the seeds, draw θ live-edge
 // samples, compute θ dominator trees — dominates the latency of an AG/GR
@@ -28,28 +28,18 @@
 // in-flight deduplication layer above (query_service.h) makes that case
 // rare by coalescing identical requests outright.
 //
-// Sharding (docs/DESIGN.md §9): with many concurrent TCP clients every
-// Acquire/Release funnels through the cache, and one global mutex
-// serializes them. Options::shards > 1 splits the cache into independent
-// shards addressed by HashKey(key) % shards, each with its own mutex, map,
-// LRU list, stats, and an equal slice of the byte budget. A key always
-// lands in the same shard, so the checkout discipline and all determinism
-// guarantees are untouched; only the *eviction order across shards*
-// changes (LRU is per-shard). Totals reported by stats() are the sums over
-// shards — for any workload the hit/miss/insert counters are identical to
-// the unsharded cache's, because counting is per-key and key→shard is a
-// pure function. The default is 1 shard: exact global LRU, the PR-5
-// behavior, still the right choice for single-threaded embedding.
+// One lock (docs/DESIGN.md §9): one mutex guards the map, the LRU list,
+// the stats and the byte budget. It is held only for map and list
+// operations; the build and the solve run outside it, on a checked-out
+// entry.
 //
 // Budget: every entry is byte-accounted (engine + sample pool + the
 // unified graph's CSR). Release inserts the entry as most-recent and then
-// evicts least-recently-used entries until the shard's byte budget holds
-// (max_bytes / shards per shard); an entry larger than its shard's whole
-// budget is dropped on the spot.
+// evicts least-recently-used entries until the byte budget holds; an
+// entry larger than the whole budget is dropped on the spot.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -64,16 +54,12 @@
 
 namespace vblock {
 
-/// Thread-safe sharded LRU cache of WarmEntry values under a byte budget.
+/// Thread-safe LRU cache of WarmEntry values under a byte budget.
 class PoolCache {
  public:
   struct Options {
-    /// Byte budget across all cached entries (default 256 MiB), divided
-    /// evenly across shards.
+    /// Byte budget across all cached entries (default 256 MiB).
     uint64_t max_bytes = 256ull << 20;
-    /// Independent lock domains (see header comment). 1 = exact global
-    /// LRU; clamped to at least 1.
-    uint32_t shards = 1;
   };
 
   /// Cache address: graph epoch + the pool-relevant QueryKey projection.
@@ -92,9 +78,9 @@ class PoolCache {
   /// entries checked out by TakeEpoch for epoch migration; evicted_stale
   /// is the stale-epoch subset — EvictGraph drops (also in evictions) and
   /// migrated-out entries that could not be carried forward
-  /// (CountStaleDrop; already in migrations). With shards > 1 these are
-  /// sums over all shards. Ledger invariant at quiescence (no entry
-  /// checked out): entries == inserts − hits − evictions − migrations —
+  /// (CountStaleDrop; already in migrations). Ledger invariant at
+  /// quiescence (no entry checked out):
+  /// entries == inserts − hits − evictions − migrations —
   /// every departure from the map is counted exactly once (warm checkouts
   /// under `hits`, drops under `evictions`, epoch sweeps under
   /// `migrations`) and every arrival under `inserts`, including an entry
@@ -119,10 +105,6 @@ class PoolCache {
   /// SpreadDecreaseEngine family — AG and GR, which share entries — with a
   /// positive θ caches).
   static std::optional<Key> KeyFor(uint64_t graph_epoch, const QueryKey& key);
-
-  /// Deterministic 64-bit hash of a key (shard addressing; exposed for the
-  /// sharding tests).
-  static uint64_t HashKey(const Key& key);
 
   /// Checks the entry for `key` out of the cache (exclusive ownership
   /// transfers to the caller; the slot empties). Records a hit or miss.
@@ -152,17 +134,14 @@ class PoolCache {
   /// Records that an entry checked out by TakeEpoch could not be carried
   /// to the new epoch and was dropped (informational `evicted_stale`
   /// bump; the entry already left the ledger under `migrations`).
-  void CountStaleDrop(const Key& key);
+  void CountStaleDrop();
 
   /// Drops everything. Counted as evictions; returns how many were dropped.
   uint64_t EvictAll();
 
-  uint64_t max_bytes() const {
-    return max_bytes_.load(std::memory_order_relaxed);
-  }
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
+  uint64_t max_bytes() const;
 
-  /// Adjusts the byte budget (re-split across shards), immediately
+  /// Adjusts the byte budget, immediately
   /// evicting LRU entries if the new budget is tighter than the current
   /// footprint.
   void set_max_bytes(uint64_t max_bytes);
@@ -172,26 +151,19 @@ class PoolCache {
  private:
   struct Slot {
     std::unique_ptr<WarmEntry> entry;
-    // Position in the shard's lru (most-recent at front). Only valid while
-    // entry is present (checked-out slots are erased from the map).
+    // Position in lru_ (most-recent at front). Only valid while entry is
+    // present (checked-out slots are erased from the map).
     std::list<Key>::iterator lru_pos;
   };
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<Key, Slot> entries;
-    std::list<Key> lru;  // front = most recent
-    Stats stats;
-    uint64_t max_bytes = 0;
-  };
+  void EvictOverBudgetLocked();
+  void EvictLocked(std::map<Key, Slot>::iterator it);
 
-  Shard& ShardFor(const Key& key);
-  void EvictOverBudgetLocked(Shard& shard);
-  static void EraseLocked(Shard& shard, std::map<Key, Slot>::iterator it,
-                          bool count_eviction);
-
-  std::atomic<uint64_t> max_bytes_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::map<Key, Slot> entries_;
+  std::list<Key> lru_;  // front = most recent
+  Stats stats_;
+  uint64_t max_bytes_;
 };
 
 }  // namespace vblock

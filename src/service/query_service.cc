@@ -230,30 +230,13 @@ std::future<Result<SolverResult>> QueryService::SubmitImpl(
   }
   const Graph& g = (*snapshot)->graph;
 
-  Status valid =
-      ValidateIminQuery(g, request.query.seeds, request.query.budget);
-  QueryKey key;
+  const SolverOptions resolved =
+      ResolveSolverOptions(request.query, options_.defaults);
+  Status valid = ValidateIminQuery(g, request.query.seeds, resolved);
   if (valid.ok() && !std::isfinite(request.deadline_seconds)) {
     // Deadlines land in the ordered dedup key; NaN would break the map's
     // strict weak ordering (hung futures), so reject it at the door.
     valid = Status::InvalidArgument("deadline must be finite");
-  }
-  if (valid.ok()) {
-    key = ResolveQueryKey(request.query, options_.defaults);
-    if (!std::isfinite(key.time_limit_seconds)) {
-      valid = Status::InvalidArgument("time limit must be finite");
-    } else if ((key.algorithm == Algorithm::kAdvancedGreedy ||
-                key.algorithm == Algorithm::kGreedyReplace) &&
-               key.theta == 0) {
-      valid = Status::InvalidArgument("theta must be positive for " +
-                                      std::string(AlgorithmName(
-                                          key.algorithm)));
-    } else if (key.algorithm == Algorithm::kBaselineGreedy &&
-               key.mc_rounds == 0) {
-      valid = Status::InvalidArgument(
-          "Monte-Carlo rounds must be positive for " +
-          std::string(AlgorithmName(key.algorithm)));
-    }
   }
   if (!valid.ok()) {
     invalid_->Increment();
@@ -264,7 +247,8 @@ std::future<Result<SolverResult>> QueryService::SubmitImpl(
   comp_key.graph_epoch = (*snapshot)->epoch;
   comp_key.budget = request.query.budget;
   comp_key.deadline_seconds = request.deadline_seconds;
-  comp_key.query = std::move(key);
+  comp_key.query =
+      CanonicalQueryKey(request.query.seeds, request.query.algorithm, resolved);
 
   // Tracing is excluded from CompKey (it never changes result bits), so a
   // traced request could find an untraced in-flight twin — which has no
@@ -509,7 +493,7 @@ QueryService::MigrationOutcome QueryService::MigrateEpoch(
   for (auto& [key, entry] : taken) {
     if (!entry || !entry->inst || !entry->engine ||
         entry->engine->timed_out()) {
-      cache_.CountStaleDrop(key);
+      cache_.CountStaleDrop();
       ++outcome.dropped;
       continue;
     }
@@ -524,7 +508,7 @@ QueryService::MigrationOutcome QueryService::MigrateEpoch(
     UnifiedInstance fresh = UnifySeeds(to->graph, key.query.seeds);
     if (fresh.graph.NumVertices() != inst.graph.NumVertices() ||
         fresh.root != inst.root) {
-      cache_.CountStaleDrop(key);
+      cache_.CountStaleDrop();
       ++outcome.dropped;
       continue;
     }
@@ -547,7 +531,7 @@ QueryService::MigrationOutcome QueryService::MigrateEpoch(
       auto patched = ProbGroupedView::DeltaPatched(
           inst.graph.GroupedView(), fresh.graph, changed_out, changed_in);
       if (patched == nullptr) {
-        cache_.CountStaleDrop(key);
+        cache_.CountStaleDrop();
         ++outcome.dropped;
         continue;
       }

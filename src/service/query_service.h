@@ -124,7 +124,8 @@ class QueryService {
   /// with the solve result, or a typed error —
   ///   NotFound            unknown graph name
   ///   InvalidArgument /
-  ///   OutOfRange          ValidateIminQuery failures, θ=0 for AG/GR
+  ///   OutOfRange          ValidateIminQuery failures (θ=0 for AG/GR and
+  ///                       MC 0 for BG included), non-finite deadline
   ///   ResourceExhausted   admission control (queue/in-flight caps)
   ///   DeadlineExceeded    request deadline expired before execution
   /// Invalid and rejected requests resolve immediately and never occupy a

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "cascade/exact_spread.h"
@@ -311,6 +312,40 @@ TEST(SolverTest, BlockersNeverContainSeeds) {
           << AlgorithmName(algo) << " blocked a seed";
     }
   }
+}
+
+// Knobs the chosen algorithm cannot run with are typed errors, not
+// aborts inside the sampler or the Monte-Carlo estimator.
+TEST(SolverTest, UnrunnableKnobsReturnInvalidArgument) {
+  Graph g = testing::PaperFigure1Graph();
+  SolverOptions opts;
+  opts.algorithm = Algorithm::kAdvancedGreedy;
+  opts.budget = 1;
+  opts.theta = 0;
+  auto result = SolveImin(g, {testing::kV1}, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  opts.algorithm = Algorithm::kGreedyReplace;
+  EXPECT_EQ(SolveImin(g, {testing::kV1}, opts).status().code(),
+            StatusCode::kInvalidArgument);
+
+  opts.algorithm = Algorithm::kBaselineGreedy;
+  opts.mc_rounds = 0;
+  EXPECT_EQ(SolveImin(g, {testing::kV1}, opts).status().code(),
+            StatusCode::kInvalidArgument);
+
+  opts.algorithm = Algorithm::kAdvancedGreedy;
+  opts.theta = 100;
+  opts.time_limit_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(SolveImin(g, {testing::kV1}, opts).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Knobs an algorithm never reads are not checked for it.
+  opts.algorithm = Algorithm::kOutDegree;
+  opts.theta = 0;
+  opts.time_limit_seconds = 0;
+  EXPECT_TRUE(SolveImin(g, {testing::kV1}, opts).ok());
 }
 
 TEST(SolverTest, GreedyReplaceDeadlinePropagates) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -294,6 +295,42 @@ TEST(BatchSolverTest, InvalidQueriesAreRejectedWithoutDisturbingOthers) {
   ExpectBitExactWithStandalone(g, queries, options, batch);
 }
 
+// Knobs a query's algorithm cannot run with (θ = 0 for AG/GR, zero
+// Monte-Carlo rounds for BG, a NaN time limit that would break the
+// grouping order) are typed errors; the other queries still solve.
+TEST(BatchSolverTest, UnrunnableKnobsAreRejectedWithoutDisturbingOthers) {
+  Graph g = TestGraph();
+  BatchOptions options;
+  options.defaults.theta = 300;
+  options.num_threads = 2;
+
+  std::vector<IminQuery> queries(6);
+  for (IminQuery& q : queries) {
+    q.seeds = {0, 3};
+    q.budget = 2;
+    q.algorithm = Algorithm::kAdvancedGreedy;
+  }
+  queries[1].theta = 0;
+  queries[2].algorithm = Algorithm::kGreedyReplace;
+  queries[2].time_limit_seconds = std::numeric_limits<double>::quiet_NaN();
+  queries[3].algorithm = Algorithm::kBaselineGreedy;
+  queries[3].mc_rounds = 0;
+  queries[4].algorithm = Algorithm::kGreedyReplace;
+  queries[5].budget = 4;
+
+  BatchResult batch = SolveIminBatch(g, queries, options);
+  ASSERT_EQ(batch.queries.size(), 6u);
+  for (size_t i : {1u, 2u, 3u}) {
+    EXPECT_EQ(batch.queries[i].status.code(), StatusCode::kInvalidArgument)
+        << i;
+  }
+  for (size_t i : {0u, 4u, 5u}) {
+    EXPECT_TRUE(batch.queries[i].status.ok()) << i;
+  }
+  EXPECT_EQ(batch.stats.num_groups, 2u);  // AG {0, 5} and GR {4}
+  ExpectBitExactWithStandalone(g, queries, options, batch);
+}
+
 // Every facade algorithm (including the heuristic top-k family) sweeps
 // bit-exactly; seed-set order inside a query does not split groups.
 TEST(BatchSolverTest, AllAlgorithmsSweepAndSeedOrderIsCanonicalized) {
@@ -394,10 +431,18 @@ TEST(BatchSolverTest, TimeLimitedSweepKeepsEveryQueryWellFormed) {
   }
 }
 
+// The canonical key of a query, as BatchSolver and the query service
+// derive it.
+QueryKey ResolveQueryKey(const IminQuery& q, const SolverOptions& defaults) {
+  return CanonicalQueryKey(q.seeds, q.algorithm,
+                           ResolveSolverOptions(q, defaults));
+}
+
 // Regression: BatchSolver grouping and the service's PoolCache both key on
-// the ONE shared helper (ResolveQueryKey / core/query_key.h); two queries
-// land in one batch group exactly when their canonical keys agree, and the
-// cache's projection collapses precisely the documented fields.
+// the ONE shared derivation (ResolveSolverOptions + CanonicalQueryKey /
+// core/query_key.h); two queries land in one batch group exactly when
+// their canonical keys agree, and the cache's projection collapses
+// precisely the documented fields.
 TEST(BatchSolverTest, CanonicalQueryKeyAgreesAcrossBatchAndPoolCache) {
   Graph g = WithWeightedCascade(GenerateBarabasiAlbert(120, 3, 5));
   SolverOptions defaults;

@@ -87,7 +87,7 @@ TEST(HistogramMetricTest, ConcurrentRecordsMergeToExactCount) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(metric.Merged().count(), uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(metric.Value().count(), uint64_t{kThreads * kPerThread});
 }
 
 // --------------------------------------------------------------- registry --

@@ -19,8 +19,6 @@
 //   --threads N      service worker threads          (default 2)
 //   --max-queue N    admission queue bound           (default 256)
 //   --cache-mb N     warm-pool cache budget in MiB   (default 256)
-//   --shards N       pool-cache shard count          (default 1 stdin,
-//                                                     4 with --tcp)
 //   --slow-ms N      slow-query log threshold in ms  (default 0 = off);
 //                    requests at/over it emit one "slow_query ..." line
 //                    (trace id included) on stderr
@@ -68,7 +66,6 @@ bool ParseFlagValue(int argc, char** argv, int* i, const char* flag,
 int main(int argc, char** argv) {
   vblock::ServiceOptions options;
   uint64_t threads = 2, max_queue = 256, cache_mb = 256;
-  uint64_t shards = 0;  // 0 = per-mode default
   uint64_t slow_ms = 0;
   uint64_t tcp_port = 0, max_conns = 4096;
   bool tcp = false;
@@ -78,7 +75,6 @@ int main(int argc, char** argv) {
     if (ParseFlagValue(argc, argv, &i, "--threads", &threads) ||
         ParseFlagValue(argc, argv, &i, "--max-queue", &max_queue) ||
         ParseFlagValue(argc, argv, &i, "--cache-mb", &cache_mb) ||
-        ParseFlagValue(argc, argv, &i, "--shards", &shards) ||
         ParseFlagValue(argc, argv, &i, "--slow-ms", &slow_ms) ||
         ParseFlagValue(argc, argv, &i, "--max-conns", &max_conns)) {
       continue;
@@ -97,7 +93,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr,
                  "usage: vblock_serve [--threads N] [--max-queue N] "
-                 "[--cache-mb N] [--shards N] [--slow-ms N] [--echo]\n"
+                 "[--cache-mb N] [--slow-ms N] [--echo]\n"
                  "                    [--tcp PORT] [--bind ADDR] "
                  "[--max-conns N]\n");
     return 2;
@@ -105,8 +101,6 @@ int main(int argc, char** argv) {
   options.num_threads = static_cast<uint32_t>(threads);
   options.max_queue = static_cast<uint32_t>(max_queue);
   options.cache.max_bytes = cache_mb << 20;
-  options.cache.shards =
-      shards != 0 ? static_cast<uint32_t>(shards) : (tcp ? 4 : 1);
   options.slow_query_ms = slow_ms;  // default sink: stderr
 
   if (!tcp) {
