@@ -1,21 +1,36 @@
-// Ablation (google-benchmark): Lengauer-Tarjan vs the naive iterative
-// dominator algorithm on live-edge samples of increasing size.
+// Ablation (google-benchmark): the engine's dominator step against the
+// naive iterative dominator algorithm, on live-edge samples of increasing
+// size.
 //
-// docs/DESIGN.md §1 calls out the dominator-tree construction as the inner loop of
-// Algorithm 2 (it runs θ times per greedy round); this ablation justifies
-// the near-linear algorithm: the naive iterative dataflow version falls
-// behind as samples grow.
+// docs/DESIGN.md §1 calls out the dominator-tree construction as the inner
+// loop of Algorithm 2 (it runs θ times per greedy round). BM_EnginePath
+// times exactly what SampleScorer runs per sample — ComputeDominatorTreeInto
+// then ComputeSubtreeSizesInto on one reused DominatorWorkspace — so its
+// time_per_vertex counter compares with perfbench's domtree.ns_per_vertex.
+// Inputs: θ = 1000 regions of the perfbench graphs (Wiki-Vote TR and
+// EmailCore WC from a three-seed super-seed: tens of vertices each), single
+// samples of 1k–16k vertices, and a deep chain with back edges.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <iterator>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "common/rng.h"
+#include "core/unified_instance.h"
 #include "domtree/dominator_tree.h"
+#include "gen/dataset_catalog.h"
 #include "gen/generators.h"
 #include "prob/probability_models.h"
 #include "sampling/reachable_sampler.h"
 
 namespace vblock {
 namespace {
+
+using Samples = std::vector<SampledGraph>;
 
 // One representative live-edge sample of a WC-weighted BA graph with
 // roughly `n` vertices, regenerated deterministically per benchmark run.
@@ -32,44 +47,34 @@ SampledGraph MakeSample(VertexId n) {
   return sample;
 }
 
-void BM_LengauerTarjan(benchmark::State& state) {
-  SampledGraph sample = MakeSample(static_cast<VertexId>(state.range(0)));
-  for (auto _ : state) {
-    DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
-    benchmark::DoNotOptimize(tree.idom.data());
-  }
-  state.counters["sample_n"] = static_cast<double>(sample.NumVertices());
-  state.counters["sample_m"] = static_cast<double>(sample.NumEdges());
+// θ = 1000 regions of a catalog dataset, drawn from the super-seed over
+// three vertices of the top out-degree quarter (the band perfbench draws
+// its seed sets from). Mean region sizes come out near the workloads'
+// sampling.region_vertices: about 65 on Wiki-Vote TR, 90 on EmailCore WC.
+Samples MakeRegions(const char* dataset, double scale, bool trivalency) {
+  Graph g = MakeDataset(*FindDataset(dataset), scale, 7);
+  g = trivalency ? WithTrivalency(g, 1) : WithWeightedCascade(g);
+  std::vector<VertexId> band(g.NumVertices());
+  std::iota(band.begin(), band.end(), 0);
+  std::stable_sort(band.begin(), band.end(), [&](VertexId a, VertexId b) {
+    return g.OutDegree(a) > g.OutDegree(b);
+  });
+  band.resize(band.size() / 4);
+  std::vector<VertexId> seeds;
+  std::mt19937_64 seed_rng(1);
+  std::sample(band.begin(), band.end(), std::back_inserter(seeds), 3,
+              seed_rng);
+  const UnifiedInstance inst = UnifySeeds(g, seeds);
+  ReachableSampler sampler(inst.graph, inst.root);
+  Rng rng(11);
+  Samples samples(1000);
+  for (SampledGraph& s : samples) sampler.Sample(rng, &s);
+  return samples;
 }
-
-void BM_NaiveIterative(benchmark::State& state) {
-  SampledGraph sample = MakeSample(static_cast<VertexId>(state.range(0)));
-  for (auto _ : state) {
-    DominatorTree tree = ComputeDominatorTreeNaive(sample.View(), 0);
-    benchmark::DoNotOptimize(tree.idom.data());
-  }
-  state.counters["sample_n"] = static_cast<double>(sample.NumVertices());
-  state.counters["sample_m"] = static_cast<double>(sample.NumEdges());
-}
-
-void BM_SubtreeSizes(benchmark::State& state) {
-  SampledGraph sample = MakeSample(static_cast<VertexId>(state.range(0)));
-  DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
-  for (auto _ : state) {
-    auto sizes = ComputeSubtreeSizes(tree);
-    benchmark::DoNotOptimize(sizes.data());
-  }
-}
-
-BENCHMARK(BM_LengauerTarjan)->Arg(1000)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_NaiveIterative)->Arg(1000)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_SubtreeSizes)->Arg(1000)->Arg(4000)->Arg(16000);
 
 // Adversarial depth: a long chain with back edges. The naive iterative
 // algorithm needs many passes here (its fixpoint converges slowly on deep
-// graphs), while Lengauer-Tarjan stays near-linear — this is why the
-// library uses LT even though the naive version is competitive on shallow
-// social-network samples.
+// graphs), and the engine's nearest-common-ancestor walks are longest.
 SampledGraph MakeDeepSample(VertexId n) {
   SampledGraph s;
   s.offsets.push_back(0);
@@ -82,24 +87,73 @@ SampledGraph MakeDeepSample(VertexId n) {
   return s;
 }
 
-void BM_LengauerTarjanDeep(benchmark::State& state) {
-  SampledGraph sample = MakeDeepSample(static_cast<VertexId>(state.range(0)));
-  for (auto _ : state) {
-    DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
-    benchmark::DoNotOptimize(tree.idom.data());
-  }
+const Samples& TrRegions() {
+  static const Samples s = MakeRegions("Wiki-Vote", 0.1, true);
+  return s;
+}
+const Samples& WcRegions() {
+  static const Samples s = MakeRegions("EmailCore", 1.0, false);
+  return s;
+}
+template <VertexId kN>
+const Samples& BaSample() {
+  static const Samples s{MakeSample(kN)};
+  return s;
+}
+template <VertexId kN>
+const Samples& DeepSample() {
+  static const Samples s{MakeDeepSample(kN)};
+  return s;
 }
 
-void BM_NaiveIterativeDeep(benchmark::State& state) {
-  SampledGraph sample = MakeDeepSample(static_cast<VertexId>(state.range(0)));
+// Runs `step` over every sample per iteration; reports the mean sample
+// size and the time per sample vertex (printed with an SI prefix, e.g.
+// "63.3ns").
+template <typename Step>
+void RunOver(benchmark::State& state, const Samples& samples, Step step) {
+  double vertices = 0;
+  for (const SampledGraph& s : samples) vertices += s.NumVertices();
   for (auto _ : state) {
-    DominatorTree tree = ComputeDominatorTreeNaive(sample.View(), 0);
-    benchmark::DoNotOptimize(tree.idom.data());
+    for (const SampledGraph& s : samples) step(s);
   }
+  state.counters["mean_n"] = vertices / static_cast<double>(samples.size());
+  state.counters["time_per_vertex"] = benchmark::Counter(
+      vertices, benchmark::Counter::kIsIterationInvariantRate |
+                    benchmark::Counter::kInvert);
 }
 
-BENCHMARK(BM_LengauerTarjanDeep)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_NaiveIterativeDeep)->Arg(4000)->Arg(16000);
+void BM_EnginePath(benchmark::State& state, const Samples& (*input)()) {
+  DominatorWorkspace workspace;
+  DominatorTree tree;
+  std::vector<VertexId> sizes;
+  RunOver(state, input(), [&](const SampledGraph& s) {
+    workspace.ComputeDominatorTreeInto(s.View(), 0, &tree);
+    workspace.ComputeSubtreeSizesInto(tree, &sizes);
+    benchmark::DoNotOptimize(sizes.data());
+  });
+}
+
+void BM_Naive(benchmark::State& state, const Samples& (*input)()) {
+  RunOver(state, input(), [](const SampledGraph& s) {
+    DominatorTree tree = ComputeDominatorTreeNaive(s.View(), 0);
+    benchmark::DoNotOptimize(tree.idom.data());
+  });
+}
+
+BENCHMARK_CAPTURE(BM_EnginePath, tr_regions, &TrRegions);
+BENCHMARK_CAPTURE(BM_EnginePath, wc_regions, &WcRegions);
+BENCHMARK_CAPTURE(BM_EnginePath, ba_1k, &BaSample<1000>);
+BENCHMARK_CAPTURE(BM_EnginePath, ba_4k, &BaSample<4000>);
+BENCHMARK_CAPTURE(BM_EnginePath, ba_16k, &BaSample<16000>);
+BENCHMARK_CAPTURE(BM_EnginePath, deep_4k, &DeepSample<4000>);
+BENCHMARK_CAPTURE(BM_EnginePath, deep_16k, &DeepSample<16000>);
+BENCHMARK_CAPTURE(BM_Naive, tr_regions, &TrRegions);
+BENCHMARK_CAPTURE(BM_Naive, wc_regions, &WcRegions);
+BENCHMARK_CAPTURE(BM_Naive, ba_1k, &BaSample<1000>);
+BENCHMARK_CAPTURE(BM_Naive, ba_4k, &BaSample<4000>);
+BENCHMARK_CAPTURE(BM_Naive, ba_16k, &BaSample<16000>);
+BENCHMARK_CAPTURE(BM_Naive, deep_4k, &DeepSample<4000>);
+BENCHMARK_CAPTURE(BM_Naive, deep_16k, &DeepSample<16000>);
 
 }  // namespace
 }  // namespace vblock

@@ -61,7 +61,7 @@ struct SpreadDecreaseResult {
 };
 
 /// Runs Algorithm 2 on the IC model: θ live-edge samples rooted at `root`
-/// (skipping `blocked`), one Lengauer-Tarjan dominator tree per sample, one
+/// (skipping `blocked`), one Semi-NCA dominator tree per sample, one
 /// subtree-size pass per tree. Holds a θ-sample pool for the call.
 SpreadDecreaseResult ComputeSpreadDecrease(
     const Graph& g, VertexId root, const SpreadDecreaseOptions& options,

@@ -55,7 +55,7 @@ struct SampleScorer {
   /// Heap bytes of the reused buffers.
   uint64_t MemoryUsageBytes() const {
     return workspace.MemoryUsageBytes() + VectorBytes(tree.idom) +
-           VectorBytes(local_weight);
+           VectorBytes(tree.order) + VectorBytes(local_weight);
   }
 };
 

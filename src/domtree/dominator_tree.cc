@@ -1,6 +1,6 @@
 #include "domtree/dominator_tree.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace vblock {
 
@@ -86,59 +86,31 @@ DominatorTree ComputeDominatorTreeNaive(const FlatGraphView& g,
   tree.root = root;
   tree.idom = std::move(idom);
   tree.idom[root] = kInvalidVertex;  // public convention
+  tree.order = std::move(rpo);
   return tree;
 }
 
 uint64_t DominatorWorkspace::MemoryUsageBytes() const {
-  uint64_t bytes = VectorBytes(dfn_) + VectorBytes(vertex_) +
-                   VectorBytes(kid_) + VectorBytes(order_);
+  uint64_t bytes = VectorBytes(dfn_) + VectorBytes(vertex_);
   for (const std::vector<uint32_t>* v :
-       {&parent_, &semi_, &label_, &ancestor_, &dom_, &bucket_head_,
-        &bucket_next_, &pred_begin_, &pred_cursor_, &pred_, &dfs_stack_v_,
-        &dfs_stack_k_, &compress_stack_, &kid_begin_, &kid_cursor_}) {
+       {&parent_, &semi_, &label_, &ancestor_, &dom_, &pred_begin_,
+        &pred_cursor_, &pred_, &dfs_stack_v_, &dfs_stack_k_,
+        &compress_stack_}) {
     bytes += VectorBytes(*v);
   }
   return bytes;
-}
-
-// Top-down BFS order of the dominator tree (root first) into order_;
-// reverse iteration folds every vertex into its idom after all its
-// descendants. Children are laid out as a CSR over reused buffers so
-// repeated calls do not allocate.
-void DominatorWorkspace::BuildDomTreeOrder(const DominatorTree& tree) {
-  const auto n = static_cast<VertexId>(tree.idom.size());
-  kid_begin_.assign(n + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (v != tree.root && tree.idom[v] != kInvalidVertex) {
-      ++kid_begin_[tree.idom[v] + 1];
-    }
-  }
-  for (VertexId v = 0; v < n; ++v) kid_begin_[v + 1] += kid_begin_[v];
-  kid_.resize(kid_begin_[n]);
-  kid_cursor_.assign(kid_begin_.begin(), kid_begin_.end() - 1);
-  for (VertexId v = 0; v < n; ++v) {
-    if (v != tree.root && tree.idom[v] != kInvalidVertex) {
-      kid_[kid_cursor_[tree.idom[v]]++] = v;
-    }
-  }
-  order_.clear();
-  if (tree.root < n) order_.push_back(tree.root);
-  for (size_t head = 0; head < order_.size(); ++head) {
-    const VertexId u = order_[head];
-    for (uint32_t k = kid_begin_[u]; k < kid_begin_[u + 1]; ++k) {
-      order_.push_back(kid_[k]);
-    }
-  }
 }
 
 void DominatorWorkspace::ComputeSubtreeSizesInto(
     const DominatorTree& tree, std::vector<VertexId>* sizes,
     std::span<const uint8_t> weight) {
   sizes->assign(tree.idom.size(), 0);
-  BuildDomTreeOrder(tree);
-  // One branch per call, not per vertex: the unweighted loop counts 1s.
+  VBLOCK_DCHECK(!tree.order.empty() && tree.order[0] == tree.root);
+  // Reversed, the order finishes every vertex's subtree before folding it
+  // into its idom. One branch per call, not per vertex: the unweighted
+  // loop counts 1s.
   auto accumulate = [&](auto weight_of) {
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
       const VertexId v = *it;
       (*sizes)[v] += weight_of(v);
       if (v != tree.root) (*sizes)[tree.idom[v]] += (*sizes)[v];
@@ -154,9 +126,8 @@ void DominatorWorkspace::ComputeSubtreeSizesInto(
 }
 
 std::vector<VertexId> ComputeSubtreeSizes(const DominatorTree& tree) {
-  DominatorWorkspace workspace;
   std::vector<VertexId> sizes;
-  workspace.ComputeSubtreeSizesInto(tree, &sizes);
+  DominatorWorkspace::ComputeSubtreeSizesInto(tree, &sizes);
   return sizes;
 }
 

@@ -26,6 +26,11 @@ struct DominatorTree {
   std::vector<VertexId> idom;
   /// Root the tree was computed from.
   VertexId root = 0;
+  /// Every reachable vertex once, each after its idom (root first), so a
+  /// reverse scan visits every subtree before its root. The fast algorithm
+  /// gives DFS preorder, the reference reverse postorder: both qualify
+  /// because a dominator is an ancestor in any DFS tree.
+  std::vector<VertexId> order;
 
   /// True iff v is reachable from the root (the root itself included).
   bool Reachable(VertexId v) const {
@@ -45,62 +50,55 @@ struct DominatorTree {
 /// scoring engine uses. One workspace per thread; not thread-safe.
 class DominatorWorkspace {
  public:
-  /// Lengauer–Tarjan into `tree` (resized/overwritten; its capacity is
-  /// reused too). Same output as ComputeDominatorTree.
+  /// Semi-NCA into `tree` (resized/overwritten; its capacity is reused
+  /// too). Same output as ComputeDominatorTree.
   void ComputeDominatorTreeInto(const FlatGraphView& g, VertexId root,
                                 DominatorTree* tree);
 
-  /// Subtree sizes into `sizes` (resized/overwritten). Same output as
-  /// ComputeSubtreeSizes. With a non-empty `weight` (0/1 per vertex), only
-  /// vertices of weight 1 are counted: the edge-blocking extension gives
-  /// its auxiliary edge-split vertices weight 0 so that only real vertices
-  /// count toward the spread decrease.
-  void ComputeSubtreeSizesInto(const DominatorTree& tree,
-                               std::vector<VertexId>* sizes,
-                               std::span<const uint8_t> weight = {});
+  /// Subtree sizes into `sizes` (resized/overwritten), folded over
+  /// `tree.order` reversed. Same output as ComputeSubtreeSizes. With a
+  /// non-empty `weight` (0/1 per vertex), only vertices of weight 1 are
+  /// counted: the edge-blocking extension gives its auxiliary edge-split
+  /// vertices weight 0 so that only real vertices count toward the spread
+  /// decrease. Needs no scratch.
+  static void ComputeSubtreeSizesInto(const DominatorTree& tree,
+                                      std::vector<VertexId>* sizes,
+                                      std::span<const uint8_t> weight = {});
 
   /// Heap bytes of the working arrays (grow-only, so this is the high-water
   /// mark of the regions computed so far).
   uint64_t MemoryUsageBytes() const;
 
  private:
-  // Top-down BFS order of the dominator tree via a CSR children layout;
-  // fills order_. Implemented in dominator_tree.cc.
-  void BuildDomTreeOrder(const DominatorTree& tree);
-
-  // Lengauer–Tarjan state, indexed by 1-based DFS number (0 = null /
-  // unreachable). Implemented in lengauer_tarjan.cc.
+  // Semi-NCA state, indexed by 1-based DFS number (0 = null /
+  // unreachable). Implemented in semi_nca.cc.
   void Dfs(const FlatGraphView& g, VertexId root);
   void BuildPredCsr(const FlatGraphView& g);
   uint32_t Eval(uint32_t v);
   void Compress(uint32_t v);
-  void ComputeSemiAndDom();
+  void ComputeIdoms();
 
   uint32_t count_ = 0;
   std::vector<uint32_t> dfn_;     // vertex -> DFS number (0 = unreachable)
   std::vector<VertexId> vertex_;  // DFS number -> vertex
   std::vector<uint32_t> parent_, semi_, label_, ancestor_, dom_;
-  // Buckets as intrusive singly linked lists in DFS-number space.
-  std::vector<uint32_t> bucket_head_, bucket_next_;
   // Predecessor lists as CSR (counting sort over the live edges).
   std::vector<uint32_t> pred_begin_, pred_cursor_, pred_;
   std::vector<uint32_t> dfs_stack_v_, dfs_stack_k_, compress_stack_;
-
-  // Subtree-size state (vertex space).
-  std::vector<uint32_t> kid_begin_, kid_cursor_;
-  std::vector<VertexId> kid_, order_;
 };
 
-/// Computes the dominator tree of `g` from `root` with the Lengauer–Tarjan
-/// algorithm (path-compression eval-link, O(m log n); the paper cites the
-/// O(m α(m,n)) variant — the simple version's log factor is negligible at
-/// sampled-subgraph sizes and it is the variant LT recommend in practice).
-/// One-shot convenience wrapper over DominatorWorkspace.
+/// Computes the dominator tree of `g` from `root` with Semi-NCA
+/// (Georgiadis, Tarjan & Werneck, JGAA 2006): Lengauer–Tarjan
+/// semidominators by simple eval-link with path compression, then one
+/// nearest-common-ancestor walk per vertex. O(n²) worst case on deep
+/// trees, but faster than Lengauer–Tarjan in practice at every region
+/// size Algorithm 2 meets. One-shot convenience wrapper over
+/// DominatorWorkspace.
 DominatorTree ComputeDominatorTree(const FlatGraphView& g, VertexId root);
 
 /// Reference implementation: iterative dataflow dominators
-/// (Cooper–Harvey–Kennedy). O(n·m) worst case — tests cross-validate
-/// Lengauer–Tarjan against this on random graphs.
+/// (Cooper–Harvey–Kennedy), `order` in reverse postorder. O(n·m) worst
+/// case — tests cross-validate Semi-NCA against this on random graphs.
 DominatorTree ComputeDominatorTreeNaive(const FlatGraphView& g, VertexId root);
 
 /// Subtree sizes of the dominator tree: size[v] = #vertices in the subtree

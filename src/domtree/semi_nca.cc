@@ -1,15 +1,16 @@
-// Lengauer–Tarjan dominator-tree construction ("A fast algorithm for finding
-// dominators in a flowgraph", TOPLAS 1979) — the simple eval-link variant
-// with path compression, implemented as the reusable DominatorWorkspace so
-// the per-sample hot loop of Algorithm 2 performs no heap allocations in
-// steady state (every working array is grow-only and reused across calls).
+// Semi-NCA dominator-tree construction (Georgiadis, Tarjan & Werneck,
+// "Finding Dominators in Practice", JGAA 2006): Lengauer–Tarjan's
+// semidominators from the simple eval-link with path compression, then
+// each idom as the nearest common ancestor of its DFS parent and its
+// semidominator in the partial dominator tree. Implemented as the reusable
+// DominatorWorkspace so the per-sample hot loop of Algorithm 2 performs no
+// heap allocations in steady state (every working array is grow-only and
+// reused across calls).
 //
 // All internal arrays are indexed by DFS number (1-based; 0 = unreachable /
-// null), matching the paper's presentation: semidominators are minima over
-// DFS numbers, which is why the id-space switch matters. The per-vertex
-// bucket and predecessor lists of the textbook version are replaced by an
-// intrusive linked list and a counting-sort CSR respectively — same
-// asymptotics, no per-vertex vectors.
+// null): semidominators are minima over DFS numbers, which is why the
+// id-space switch matters. Predecessor lists are a counting-sort CSR
+// instead of per-vertex vectors.
 
 #include <vector>
 
@@ -97,40 +98,32 @@ void DominatorWorkspace::Compress(uint32_t v) {
   }
 }
 
-void DominatorWorkspace::ComputeSemiAndDom() {
+void DominatorWorkspace::ComputeIdoms() {
   semi_.resize(count_ + 1);
   label_.resize(count_ + 1);
   ancestor_.assign(count_ + 1, 0);
-  dom_.assign(count_ + 1, 0);
-  bucket_head_.assign(count_ + 1, 0);
-  bucket_next_.assign(count_ + 1, 0);
+  dom_.resize(count_ + 1);
   for (uint32_t i = 1; i <= count_; ++i) {
     semi_[i] = i;
     label_[i] = i;
   }
+  // Semidominators in reverse DFS order, then LINK(parent[w], w).
   for (uint32_t w = count_; w >= 2; --w) {
-    // Step 2: semidominators.
     for (uint32_t e = pred_begin_[w]; e < pred_begin_[w + 1]; ++e) {
       uint32_t u = Eval(pred_[e]);
       if (semi_[u] < semi_[w]) semi_[w] = semi_[u];
     }
-    bucket_next_[w] = bucket_head_[semi_[w]];
-    bucket_head_[semi_[w]] = w;
-    ancestor_[w] = parent_[w];  // LINK(parent[w], w)
-
-    // Step 3: implicit idoms for parent[w]'s bucket.
-    const uint32_t p = parent_[w];
-    for (uint32_t v = bucket_head_[p]; v != 0; v = bucket_next_[v]) {
-      uint32_t u = Eval(v);
-      dom_[v] = semi_[u] < semi_[v] ? u : p;
-    }
-    bucket_head_[p] = 0;
+    ancestor_[w] = parent_[w];
   }
-  // Step 4: explicit idoms in DFS order.
+  // idom(w) = NCA(parent(w), semi(w)) in the tree built so far: walk up
+  // from the parent while above the semidominator. DFS order guarantees
+  // every vertex on the walk already has its idom; the walk stops at the
+  // root at the latest, whose dom_ entry is never read.
   for (uint32_t w = 2; w <= count_; ++w) {
-    if (dom_[w] != semi_[w]) dom_[w] = dom_[dom_[w]];
+    uint32_t d = parent_[w];
+    while (d > semi_[w]) d = dom_[d];
+    dom_[w] = d;
   }
-  dom_[1] = 0;
 }
 
 void DominatorWorkspace::ComputeDominatorTreeInto(const FlatGraphView& g,
@@ -139,13 +132,14 @@ void DominatorWorkspace::ComputeDominatorTreeInto(const FlatGraphView& g,
   VBLOCK_CHECK_MSG(root < g.NumVertices(), "root out of range");
   Dfs(g, root);
   BuildPredCsr(g);
-  ComputeSemiAndDom();
+  ComputeIdoms();
 
   tree->root = root;
   tree->idom.assign(g.NumVertices(), kInvalidVertex);
   for (uint32_t w = 2; w <= count_; ++w) {
     tree->idom[vertex_[w]] = vertex_[dom_[w]];
   }
+  tree->order.assign(vertex_.begin() + 1, vertex_.begin() + 1 + count_);
 }
 
 DominatorTree ComputeDominatorTree(const FlatGraphView& g, VertexId root) {

@@ -30,8 +30,8 @@ VertexId CountReachable(const Graph& g, VertexId source,
                         const VertexMask* blocked = nullptr);
 
 /// Depth-first preorder of vertices reachable from `source` (ties broken by
-/// adjacency order). Used by the Lengauer-Tarjan preprocessing contract
-/// tests.
+/// adjacency order). The dominator tests check it against the `order` of
+/// ComputeDominatorTree.
 std::vector<VertexId> DfsPreorder(const Graph& g, VertexId source);
 
 }  // namespace vblock

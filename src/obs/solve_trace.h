@@ -45,7 +45,7 @@ enum class SolveStage : uint8_t {
   kUnify = 0,     // seed unification / instance mapping
   kPoolBuild,     // full engine Build (encloses draw + domtree leaves)
   kSampleDraw,    // per-θ live-edge sample derivation
-  kDomTree,       // Lengauer–Tarjan dominator tree + subtree sizes
+  kDomTree,       // Semi-NCA dominator tree + subtree sizes
   kScore,         // Δ re-aggregation over dirty samples
   kSelect,        // greedy candidate scan / best-pick
   kBlock,         // apply a blocker

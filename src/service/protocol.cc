@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <istream>
 #include <limits>
+#include <new>
 #include <ostream>
 #include <utility>
 
@@ -739,6 +740,18 @@ std::string ServiceSession::SolveResponse(
 }
 
 std::string ServiceSession::Run(const Command& cmd) {
+  // A LOAD, UPDATE or EVAL whose graph cannot be allocated (ADDV far beyond
+  // memory) fails alone: the registry installs a snapshot only after
+  // building it, so the failed command leaves the epoch where it was.
+  try {
+    return RunCommand(cmd);
+  } catch (const std::bad_alloc&) {
+    return ErrorResponse(
+        Status::ResourceExhausted("out of memory running this command"));
+  }
+}
+
+std::string ServiceSession::RunCommand(const Command& cmd) {
   auto error = [](const Status& status) { return ErrorResponse(status); };
 
   switch (cmd.kind) {

@@ -170,7 +170,9 @@ class ServiceSession {
   QueryService& service() { return *service_; }
 
  private:
+  // Run answers ERR ResourceExhausted where RunCommand runs out of memory.
   std::string Run(const Command& cmd);
+  std::string RunCommand(const Command& cmd);
   static std::string SolveResponse(const Result<SolverResult>& result);
 
   std::unique_ptr<GraphRegistry> owned_registry_;

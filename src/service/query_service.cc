@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <new>
 #include <utility>
 
 #include "common/check.h"
@@ -328,11 +329,22 @@ void QueryService::Execute(const std::shared_ptr<Computation>& comp) {
   const double deadline = comp->key.deadline_seconds;
   const bool expired =
       deadline > 0 && comp->submitted.ElapsedSeconds() >= deadline;
-  Result<SolverResult> result =
-      expired ? Result<SolverResult>(Status::DeadlineExceeded(
-                    "request deadline (" + std::to_string(deadline) +
-                    "s) expired before execution"))
-              : Compute(*comp);
+  auto run = [&]() -> Result<SolverResult> {
+    if (expired) {
+      return Status::DeadlineExceeded("request deadline (" +
+                                      std::to_string(deadline) +
+                                      "s) expired before execution");
+    }
+    // A request whose pool cannot be allocated (a θ far beyond memory)
+    // fails alone. The entry it held is dropped during unwinding, never
+    // cached.
+    try {
+      return Compute(*comp);
+    } catch (const std::bad_alloc&) {
+      return Status::ResourceExhausted("out of memory computing this query");
+    }
+  };
+  Result<SolverResult> result = run();
 
   // Fold this solve's stage attribution into the service-lifetime cells —
   // the vblock_solve_stage_* series accumulate across traced requests.

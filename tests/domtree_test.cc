@@ -1,11 +1,14 @@
 // Unit and property tests for dominator trees: golden structures, the
-// Lengauer-Tarjan vs. naive-iterative cross-validation, and subtree sizes
-// (Theorem 6's σ→u machinery).
+// Semi-NCA vs. naive-iterative cross-validation, the tree order both
+// produce, and subtree sizes (Theorem 6's σ→u machinery).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "domtree/dominator_tree.h"
@@ -46,6 +49,45 @@ struct FlatGraph {
                          {targets.data(), targets.size()}};
   }
 };
+
+// A chain 0→1→…→n-1 with a back edge v→v/2 at every 16th vertex: deep
+// trees, where the nearest-common-ancestor walks are longest.
+FlatGraph DeepChainWithBackEdges(VertexId n) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    if (v + 1 < n) edges.emplace_back(v, v + 1);
+    if (v >= 2 && v % 16 == 0) edges.emplace_back(v, v / 2);
+  }
+  return FlatGraph(n, std::move(edges));
+}
+
+// The order contract: every reachable vertex exactly once, the root first,
+// and every idom before its vertex.
+void ExpectOrderContract(const DominatorTree& tree) {
+  const auto n = static_cast<VertexId>(tree.idom.size());
+  ASSERT_FALSE(tree.order.empty());
+  EXPECT_EQ(tree.order[0], tree.root);
+  std::vector<uint32_t> position(n, UINT32_MAX);
+  for (uint32_t i = 0; i < tree.order.size(); ++i) {
+    const VertexId v = tree.order[i];
+    ASSERT_LT(v, n);
+    ASSERT_EQ(position[v], UINT32_MAX) << "vertex " << v << " listed twice";
+    position[v] = i;
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    EXPECT_EQ(position[v] != UINT32_MAX, tree.Reachable(v)) << "vertex " << v;
+    if (v != tree.root && tree.Reachable(v)) {
+      EXPECT_LT(position[tree.idom[v]], position[v]) << "vertex " << v;
+    }
+  }
+}
+
+void ExpectSameIdoms(const DominatorTree& fast, const DominatorTree& naive) {
+  ASSERT_EQ(fast.idom.size(), naive.idom.size());
+  for (VertexId v = 0; v < fast.idom.size(); ++v) {
+    EXPECT_EQ(fast.idom[v], naive.idom[v]) << "vertex " << v;
+  }
+}
 
 TEST(DominatorTreeTest, DiamondIdoms) {
   // 0→1, 0→2, 1→3, 2→3: idom(3) = 0 (two disjoint paths).
@@ -148,7 +190,43 @@ TEST(SubtreeSizesTest, UnreachableGetZero) {
   EXPECT_EQ(sizes[4], 0u);
 }
 
-// ---------------------- Lengauer-Tarjan ≡ naive on random graphs ----------
+TEST(DomTreeDifferential, DeepChainWithBackEdgesMatchesNaive) {
+  FlatGraph g = DeepChainWithBackEdges(4000);
+  DominatorTree fast = ComputeDominatorTree(g.View(), 0);
+  DominatorTree naive = ComputeDominatorTreeNaive(g.View(), 0);
+  ExpectSameIdoms(fast, naive);
+  ExpectOrderContract(fast);
+  ExpectOrderContract(naive);
+  EXPECT_EQ(ComputeSubtreeSizes(fast), ComputeSubtreeSizes(naive));
+}
+
+TEST(DomTreeDifferential, ReusedWorkspaceMatchesNaiveAsGraphsShrinkAndGrow) {
+  // One workspace across graphs of very different sizes: stale semi_,
+  // dom_ or ancestor_ entries from a larger graph must not leak into a
+  // smaller one, nor the other way round.
+  DominatorWorkspace workspace;
+  DominatorTree tree;
+  std::vector<VertexId> sizes;
+  uint64_t seed = 40;
+  for (auto [n, m] : {std::pair<VertexId, EdgeId>{500, 2000}, {12, 30},
+                      {1000, 3000}, {3, 2}, {200, 800}, {2, 1}, {60, 400}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    FlatGraph g(GenerateErdosRenyi(n, m, ++seed));
+    workspace.ComputeDominatorTreeInto(g.View(), 0, &tree);
+    DominatorTree naive = ComputeDominatorTreeNaive(g.View(), 0);
+    ExpectSameIdoms(tree, naive);
+    ExpectOrderContract(tree);
+    workspace.ComputeSubtreeSizesInto(tree, &sizes);
+    EXPECT_EQ(sizes, ComputeSubtreeSizes(naive));
+  }
+  FlatGraph deep = DeepChainWithBackEdges(2000);
+  workspace.ComputeDominatorTreeInto(deep.View(), 0, &tree);
+  ExpectSameIdoms(tree, ComputeDominatorTreeNaive(deep.View(), 0));
+}
+
+// ---------------------- Semi-NCA ≡ naive on random graphs -----------------
+//
+// The case names predate Semi-NCA; they are kept so the ctest ids stay put.
 
 // gtest has no printer for this struct, so it prints the parameter as its
 // 24 raw bytes, and gtest_discover_tests builds each case's ctest name from
@@ -185,6 +263,16 @@ TEST_P(DomTreeEquivalence, LengauerTarjanMatchesNaive) {
   }
 }
 
+TEST_P(DomTreeEquivalence, OrderIsDfsPreorderAndListsIdomsFirst) {
+  const auto& p = GetParam();
+  Graph g = GenerateErdosRenyi(p.n, p.m, p.seed);
+  FlatGraph fg(g);
+  DominatorTree fast = ComputeDominatorTree(fg.View(), 0);
+  ExpectOrderContract(fast);
+  ExpectOrderContract(ComputeDominatorTreeNaive(fg.View(), 0));
+  EXPECT_EQ(fast.order, DfsPreorder(g, 0));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomGraphs, DomTreeEquivalence,
     ::testing::Values(Param(10, 15, 1), Param(10, 30, 2),
@@ -213,6 +301,19 @@ TEST_P(DomTreeRmatEquivalence, LengauerTarjanMatchesNaiveOnRmat) {
   }
 }
 
+TEST_P(DomTreeRmatEquivalence, OrderIsDfsPreorderAndListsIdomsFirstOnRmat) {
+  const auto& p = GetParam();
+  Graph g = GenerateRmat(8, p.m, 0.57, 0.19, 0.19, p.seed);
+  FlatGraph fg(g);
+  VertexId root = 0;
+  while (root < g.NumVertices() && g.OutDegree(root) == 0) ++root;
+  ASSERT_LT(root, g.NumVertices());
+  DominatorTree fast = ComputeDominatorTree(fg.View(), root);
+  ExpectOrderContract(fast);
+  ExpectOrderContract(ComputeDominatorTreeNaive(fg.View(), root));
+  EXPECT_EQ(fast.order, DfsPreorder(g, root));
+}
+
 INSTANTIATE_TEST_SUITE_P(RmatGraphs, DomTreeRmatEquivalence,
                          ::testing::Values(Param(0, 500, 11),
                                            Param(0, 1000, 12, 0xffffffff),
@@ -239,6 +340,26 @@ TEST_P(DomSemantics, SubtreeMembershipEqualsCutReachability) {
       const bool dominated = tree.Dominates(u, v);
       EXPECT_EQ(dominated, !still[v])
           << "u=" << u << " v=" << v << " (dominated must equal cut)";
+    }
+  }
+}
+
+// Theorem 6: size[u] is the number of vertices that blocking u cuts off
+// from the root (u included), for both algorithms' trees.
+TEST_P(DomSemantics, SubtreeSizesEqualCutCounts) {
+  const auto& p = GetParam();
+  Graph g = GenerateErdosRenyi(p.n, p.m, p.seed);
+  FlatGraph fg(g);
+  const VertexId reachable = CountReachable(g, 0);
+  for (const DominatorTree& tree : {ComputeDominatorTree(fg.View(), 0),
+                                    ComputeDominatorTreeNaive(fg.View(), 0)}) {
+    const std::vector<VertexId> sizes = ComputeSubtreeSizes(tree);
+    EXPECT_EQ(sizes[0], reachable);
+    for (VertexId u = 1; u < p.n; ++u) {
+      VertexMask blocked(p.n);
+      blocked.Set(u);
+      EXPECT_EQ(sizes[u], reachable - CountReachable(g, 0, &blocked))
+          << "u=" << u;
     }
   }
 }

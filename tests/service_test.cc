@@ -5,6 +5,9 @@
 // protocol (parser round-trips, error taxonomy, session end-to-end).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -13,6 +16,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1025,6 +1029,81 @@ TEST(ProtocolTest, ZeroRoundRequestsFailTypedAndSessionServesOn) {
   EXPECT_TRUE(solve.starts_with("OK blockers=")) << solve;
   eval = session.Execute("EVAL g SEEDS 1 BLOCKERS - ROUNDS 100");
   EXPECT_TRUE(eval.starts_with("OK spread=")) << eval;
+}
+
+// Address-space limits do not mix with sanitizer shadow memory.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// A θ or a vertex count far beyond memory fails its own line with a typed
+// error and leaves the server serving: nothing cached, no new epoch, the
+// pool ledger balanced. Runs in a forked child under a 2 GiB address-space
+// limit, so the failed allocations are refused at once.
+TEST(ProtocolTest, OutOfMemoryLinesFailTypedAndSessionServesOn) {
+  if (kSanitized) GTEST_SKIP() << "RLIMIT_AS breaks sanitizer runtimes";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    const rlimit limit{2ull << 30, 2ull << 30};
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(2);
+    GraphRegistry registry;
+    QueryService service(&registry, FastOptions());
+    ServiceSession session(&registry, &service);
+    std::string out =
+        session.Execute("LOAD g GEN EmailCore SCALE 0.1 SEED 7 MODEL wc") +
+        "\n";
+    out += session.Execute(
+               "SOLVE g SEEDS 1 BUDGET 2 ALG ag THETA 100000000") + "\n";
+    out += session.Execute("UPDATE g ADDV 1000000000") + "\n";
+    const PoolCache::Stats s = service.pool_cache().stats();
+    out += "epoch=" + std::to_string((*registry.Get("g"))->epoch) +
+           " entries=" + std::to_string(s.entries) + " balanced=" +
+           std::to_string(s.entries ==
+                          s.inserts - s.hits - s.evictions - s.migrations) +
+           "\n";
+    out += session.Execute("SOLVE g SEEDS 1 BUDGET 2 ALG ag THETA 100") + "\n";
+    const bool written =
+        ::write(fds[1], out.data(), out.size()) ==
+        static_cast<ssize_t>(out.size());
+    ::_exit(written ? 0 : 3);
+  }
+  ::close(fds[1]);
+  std::string out;
+  char buf[4096];
+  for (ssize_t got; (got = ::read(fds[0], buf, sizeof(buf))) > 0;) {
+    out.append(buf, static_cast<size_t>(got));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died by signal " << WTERMSIG(status)
+                                 << "; output so far:\n" << out;
+  ASSERT_EQ(WEXITSTATUS(status), 0) << out;
+
+  std::istringstream lines(out);
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_TRUE(line.starts_with("OK graph=g ")) << line;
+  std::getline(lines, line);
+  EXPECT_TRUE(line.starts_with("ERR ResourceExhausted")) << line;
+  std::getline(lines, line);
+  EXPECT_TRUE(line.starts_with("ERR ResourceExhausted")) << line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "epoch=1 entries=0 balanced=1");
+  std::getline(lines, line);
+  EXPECT_TRUE(line.starts_with("OK blockers=")) << line;
 }
 
 TEST(ProtocolTest, SessionEndToEnd) {
