@@ -3,8 +3,10 @@
 // versus the pre-refactor path that re-runs one-shot ComputeSpreadDecrease
 // per greedy round. A restore arm per reuse mode times
 // SpreadDecreaseEngine::Restore after AdvancedGreedy runs and counts the
-// sample draws it makes (0: restore puts saved regions back). Emits a
-// single JSON object on stdout so CI can archive the numbers.
+// sample draws it makes (0: restore puts saved regions back).
+// `ag_reuse_modes_agree` is true when AG picks the same blockers under both
+// reuse modes, as it must: a Block prunes the stored worlds in both. Emits
+// a single JSON object on stdout so CI can archive the numbers.
 //
 // Acceptance target (ISSUE 2): pooled (kPrune) mode ≥ 3× faster than the
 // per-round resample path at budget ≥ 20, θ ≥ 2000, with the final blocked
@@ -165,6 +167,7 @@ int main() {
   const double spread_ratio =
       resample_path.spread > 0 ? pooled_prune.spread / resample_path.spread
                                : 0.0;
+  const bool modes_agree = pooled_prune.blockers == pooled_resample.blockers;
 
   std::printf(
       "{\n"
@@ -178,6 +181,7 @@ int main() {
       "  \"pooled_resample\": {\"seconds\": %.4f, \"blocked_spread\": %.4f},\n"
       "  \"speedup_pooled_vs_resample_path\": %.2f,\n"
       "  \"spread_ratio_pooled_vs_resample_path\": %.4f,\n"
+      "  \"ag_reuse_modes_agree\": %s,\n"
       "  \"restore\": {\"prune\": {\"restore_ms\": %.4f, "
       "\"restore_draw_calls\": %llu}, \"resample\": {\"restore_ms\": %.4f, "
       "\"restore_draw_calls\": %llu}}\n"
@@ -185,7 +189,8 @@ int main() {
       n, static_cast<unsigned long long>(g.NumEdges()), budget, theta, threads,
       resample_path.seconds, resample_path.spread, pooled_prune.seconds,
       pooled_prune.spread, pooled_resample.seconds, pooled_resample.spread,
-      speedup, spread_ratio, restore_prune.restore_ms,
+      speedup, spread_ratio, modes_agree ? "true" : "false",
+      restore_prune.restore_ms,
       static_cast<unsigned long long>(restore_prune.restore_draw_calls),
       restore_resample.restore_ms,
       static_cast<unsigned long long>(restore_resample.restore_draw_calls));

@@ -1,145 +1,29 @@
 #include "cascade/exact_spread.h"
 
+#include <functional>
 #include <string>
 
-#include "common/check.h"
-#include "graph/traversal.h"
+#include "sampling/world_enumerator.h"
 
 namespace vblock {
 
 namespace {
 
-// The seed-reachable universe with certain (p=1) adjacency in local CSR form
-// plus the list of uncertain edges, both restricted to unblocked vertices
-// reachable from the seeds via p>0 edges.
-struct ExactUniverse {
-  std::vector<VertexId> members;        // local -> parent
-  std::vector<VertexId> local_of;       // parent -> local (kInvalidVertex if out)
-  std::vector<uint32_t> certain_offsets;
-  std::vector<VertexId> certain_targets;
-  struct UncertainEdge {
-    VertexId source;  // local
-    VertexId target;  // local
-    double probability;
-  };
-  std::vector<UncertainEdge> uncertain;
-  std::vector<VertexId> local_seeds;
-};
-
-ExactUniverse BuildUniverse(const Graph& g, const std::vector<VertexId>& seeds,
-                            const VertexMask* blocked) {
-  ExactUniverse u;
-  u.local_of.assign(g.NumVertices(), kInvalidVertex);
-
-  // BFS over p>0 edges from seeds, skipping blocked vertices: anything
-  // outside this region has activation probability 0 and is irrelevant.
-  std::vector<VertexId> queue;
-  auto add = [&](VertexId v) {
-    if (u.local_of[v] != kInvalidVertex) return;
-    if (blocked && blocked->Test(v)) return;
-    u.local_of[v] = static_cast<VertexId>(u.members.size());
-    u.members.push_back(v);
-    queue.push_back(v);
-  };
-  for (VertexId s : seeds) add(s);
-  size_t head = 0;
-  while (head < queue.size()) {
-    VertexId v = queue[head++];
-    auto targets = g.OutNeighbors(v);
-    auto probs = g.OutProbabilities(v);
-    for (size_t k = 0; k < targets.size(); ++k) {
-      if (probs[k] > 0.0) add(targets[k]);
-    }
-  }
-
-  // Split edges within the universe into certain (p=1) and uncertain.
-  const auto local_n = static_cast<VertexId>(u.members.size());
-  u.certain_offsets.assign(local_n + 1, 0);
-  std::vector<std::pair<VertexId, VertexId>> certain_edges;
-  for (VertexId local_v = 0; local_v < local_n; ++local_v) {
-    VertexId parent_v = u.members[local_v];
-    auto targets = g.OutNeighbors(parent_v);
-    auto probs = g.OutProbabilities(parent_v);
-    for (size_t k = 0; k < targets.size(); ++k) {
-      VertexId local_t = u.local_of[targets[k]];
-      if (local_t == kInvalidVertex) continue;
-      if (probs[k] >= 1.0) {
-        certain_edges.emplace_back(local_v, local_t);
-      } else if (probs[k] > 0.0) {
-        u.uncertain.push_back({local_v, local_t, probs[k]});
-      }
-    }
-  }
-  for (auto [s, t] : certain_edges) ++u.certain_offsets[s + 1];
-  for (VertexId v = 0; v < local_n; ++v) {
-    u.certain_offsets[v + 1] += u.certain_offsets[v];
-  }
-  u.certain_targets.resize(certain_edges.size());
-  std::vector<uint32_t> cursor(u.certain_offsets.begin(),
-                               u.certain_offsets.end() - 1);
-  for (auto [s, t] : certain_edges) u.certain_targets[cursor[s]++] = t;
-
+// Both exact values are one fold over the seed set's worlds: `fold(weight,
+// sample)` sees each world's seed-reachable live region.
+Status FoldWorlds(
+    const Graph& g, const std::vector<VertexId>& seeds,
+    const VertexMask* blocked, const ExactSpreadOptions& options,
+    const std::function<void(double, const SampledGraph&)>& fold) {
   for (VertexId s : seeds) {
-    VertexId local_s = u.local_of[s];
-    if (local_s != kInvalidVertex) u.local_seeds.push_back(local_s);
+    if (s >= g.NumVertices()) {
+      return Status::OutOfRange("seed " + std::to_string(s) +
+                                " is not a vertex of a graph with " +
+                                std::to_string(g.NumVertices()) + " vertices");
+    }
   }
-  return u;
-}
-
-// Enumerates all 2^k live-edge worlds. `accumulate(weight, reached_flags,
-// reached_list)` is called once per world.
-template <typename Fn>
-void EnumerateWorlds(const ExactUniverse& u, Fn&& accumulate) {
-  const auto local_n = static_cast<VertexId>(u.members.size());
-  const int k = static_cast<int>(u.uncertain.size());
-  std::vector<uint8_t> reached(local_n, 0);
-  std::vector<VertexId> stack;
-  std::vector<VertexId> order;
-
-  // Per-world live adjacency for uncertain edges, grouped by source.
-  std::vector<std::vector<VertexId>> live_uncertain(local_n);
-
-  for (uint64_t world = 0; world < (uint64_t{1} << k); ++world) {
-    double weight = 1.0;
-    for (auto& v : live_uncertain) v.clear();
-    for (int e = 0; e < k; ++e) {
-      const auto& edge = u.uncertain[e];
-      if ((world >> e) & 1) {
-        weight *= edge.probability;
-        live_uncertain[edge.source].push_back(edge.target);
-      } else {
-        weight *= 1.0 - edge.probability;
-      }
-    }
-
-    std::fill(reached.begin(), reached.end(), 0);
-    order.clear();
-    for (VertexId s : u.local_seeds) {
-      if (!reached[s]) {
-        reached[s] = 1;
-        order.push_back(s);
-      }
-    }
-    size_t head = 0;
-    while (head < order.size()) {
-      VertexId v = order[head++];
-      for (uint32_t i = u.certain_offsets[v]; i < u.certain_offsets[v + 1];
-           ++i) {
-        VertexId t = u.certain_targets[i];
-        if (!reached[t]) {
-          reached[t] = 1;
-          order.push_back(t);
-        }
-      }
-      for (VertexId t : live_uncertain[v]) {
-        if (!reached[t]) {
-          reached[t] = 1;
-          order.push_back(t);
-        }
-      }
-    }
-    accumulate(weight, order);
-  }
+  return WorldEnumerator(g, seeds, blocked)
+      .ForEachWorld(fold, options.max_uncertain_edges);
 }
 
 }  // namespace
@@ -148,34 +32,24 @@ Result<double> ComputeExactSpread(const Graph& g,
                                   const std::vector<VertexId>& seeds,
                                   const VertexMask* blocked,
                                   const ExactSpreadOptions& options) {
-  ExactUniverse u = BuildUniverse(g, seeds, blocked);
-  if (static_cast<int>(u.uncertain.size()) > options.max_uncertain_edges) {
-    return Status::ResourceExhausted(
-        "exact spread needs 2^" + std::to_string(u.uncertain.size()) +
-        " worlds (limit 2^" + std::to_string(options.max_uncertain_edges) +
-        "); use Monte-Carlo instead");
-  }
   double spread = 0.0;
-  EnumerateWorlds(u, [&](double weight, const std::vector<VertexId>& order) {
-    spread += weight * static_cast<double>(order.size());
-  });
+  VBLOCK_RETURN_IF_ERROR(FoldWorlds(
+      g, seeds, blocked, options,
+      [&](double weight, const SampledGraph& sample) {
+        spread += weight * static_cast<double>(sample.NumVertices());
+      }));
   return spread;
 }
 
 Result<std::vector<double>> ComputeExactActivationProbabilities(
     const Graph& g, const std::vector<VertexId>& seeds,
     const VertexMask* blocked, const ExactSpreadOptions& options) {
-  ExactUniverse u = BuildUniverse(g, seeds, blocked);
-  if (static_cast<int>(u.uncertain.size()) > options.max_uncertain_edges) {
-    return Status::ResourceExhausted(
-        "exact activation probabilities need 2^" +
-        std::to_string(u.uncertain.size()) + " worlds (limit 2^" +
-        std::to_string(options.max_uncertain_edges) + ")");
-  }
   std::vector<double> probs(g.NumVertices(), 0.0);
-  EnumerateWorlds(u, [&](double weight, const std::vector<VertexId>& order) {
-    for (VertexId local_v : order) probs[u.members[local_v]] += weight;
-  });
+  VBLOCK_RETURN_IF_ERROR(FoldWorlds(
+      g, seeds, blocked, options,
+      [&](double weight, const SampledGraph& sample) {
+        for (VertexId v : sample.to_parent) probs[v] += weight;
+      }));
   return probs;
 }
 

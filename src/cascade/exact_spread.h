@@ -9,8 +9,10 @@
 // world fixes the outcome of every edge with probability strictly between 0
 // and 1. Edges with p=1 are always live and p=0 edges never — only
 // "uncertain" edges are enumerated, so the cost is O(2^k · m) for k
-// uncertain edges. Feasible for k ≤ ~25; beyond that callers fall back to
-// high-round Monte-Carlo (see core/evaluator.h).
+// uncertain edges. Both functions are one fold over
+// sampling/world_enumerator.h's ForEachWorld, the library's one world loop.
+// Feasible for k ≤ ~25; beyond that callers fall back to high-round
+// Monte-Carlo (see core/evaluator.h).
 
 #pragma once
 
@@ -31,9 +33,10 @@ struct ExactSpreadOptions {
 };
 
 /// Exactly computes E(S, G[V\B]) — the expected number of active vertices,
-/// seeds included. Returns ResourceExhausted when more than
-/// `options.max_uncertain_edges` uncertain edges remain after restricting to
-/// the seed-reachable region.
+/// seeds included; blocked and duplicate seeds add nothing. Returns
+/// OutOfRange for a seed ≥ g.NumVertices(), and ResourceExhausted when more
+/// than `options.max_uncertain_edges` uncertain edges — or 64 or more —
+/// remain after restricting to the seed-reachable region.
 Result<double> ComputeExactSpread(const Graph& g,
                                   const std::vector<VertexId>& seeds,
                                   const VertexMask* blocked = nullptr,

@@ -4,13 +4,12 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace vblock {
 
 namespace {
 
-// Per-thread Brandes scratch. Visitation is epoch-stamped so a source
+// Brandes scratch. Visitation is epoch-stamped so a source
 // iteration costs O(visited + edges examined), not O(n) clearing, and the
 // shortest-path predecessors live in one flat CSR buffer (offsets over the
 // BFS order + a pool sized Σ preds) rebuilt per source — no vector-of-
@@ -99,8 +98,8 @@ void AccumulateFromSource(const Graph& g, VertexId s, double weight,
   }
 
   // Pass 3: dependency accumulation in reverse BFS order. The per-pred
-  // expression keeps the historical operation order, so single-threaded
-  // results are bit-identical to the pre-flat-buffer implementation.
+  // expression keeps the historical operation order, so results are
+  // bit-identical to the pre-flat-buffer implementation.
   for (size_t i = scratch.order.size(); i-- > 0;) {
     const VertexId w = scratch.order[i];
     for (uint32_t k = scratch.pred_offsets[i]; k < scratch.pred_offsets[i + 1];
@@ -121,9 +120,9 @@ std::vector<double> ComputeBetweenness(const Graph& g,
   std::vector<double> centrality(n, 0.0);
   if (n == 0) return centrality;
 
-  // Resolve the source list (and per-source weight) up front so the
-  // parallel sweep below is a pure map over it. Pivot sampling consumes the
-  // RNG exactly as the historical interleaved loop did.
+  // Resolve the source list (and per-source weight) up front. Pivot
+  // sampling consumes the RNG exactly as the historical interleaved loop
+  // did.
   std::vector<VertexId> sources;
   double weight = 1.0;
   if (options.pivots == 0 || options.pivots >= n) {
@@ -143,30 +142,9 @@ std::vector<double> ComputeBetweenness(const Graph& g,
     sources = std::move(pool);
   }
 
-  const auto num_sources = static_cast<uint32_t>(sources.size());
-  const uint32_t threads =
-      std::max<uint32_t>(1, std::min(options.threads, num_sources));
-  if (threads == 1) {
-    BrandesScratch scratch(n);
-    for (VertexId s : sources) {
-      AccumulateFromSource(g, s, weight, scratch, &centrality);
-    }
-    return centrality;
-  }
-
-  // Static source chunks, one scratch + centrality partial per thread,
-  // reduced in thread order — deterministic for a fixed thread count.
-  std::vector<std::vector<double>> partial(threads,
-                                           std::vector<double>(n, 0.0));
-  ThreadPool pool(threads);
-  pool.ParallelFor(num_sources, [&](uint32_t t, uint32_t begin, uint32_t end) {
-    BrandesScratch scratch(n);
-    for (uint32_t i = begin; i < end; ++i) {
-      AccumulateFromSource(g, sources[i], weight, scratch, &partial[t]);
-    }
-  });
-  for (uint32_t t = 0; t < threads; ++t) {
-    for (VertexId v = 0; v < n; ++v) centrality[v] += partial[t][v];
+  BrandesScratch scratch(n);
+  for (VertexId s : sources) {
+    AccumulateFromSource(g, s, weight, scratch, &centrality);
   }
   return centrality;
 }

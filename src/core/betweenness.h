@@ -22,14 +22,6 @@ struct BetweennessOptions {
   uint32_t pivots = 0;
   /// RNG seed for pivot sampling.
   uint64_t seed = 1;
-  /// Worker threads across Brandes sources (common/thread_pool). Per-thread
-  /// scratch + centrality partials reduced in fixed thread order, so the
-  /// result is deterministic for a fixed thread count, and threads == 1 is
-  /// bit-identical to the historical sequential implementation. Different
-  /// thread counts may differ in the last ulp (the per-source double
-  /// contributions are summed in a different association), which is why the
-  /// SolveImin facade keeps its BC path sequential.
-  uint32_t threads = 1;
 };
 
 /// Betweenness centrality of every vertex on the directed unweighted

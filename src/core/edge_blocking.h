@@ -83,9 +83,9 @@ struct EdgeBlockingResult {
 
 /// Greedy edge removal on one weighted SpreadDecreaseEngine over the split
 /// graph: each round removes the remaining edge with the largest spread
-/// decrease, and Block()ing its auxiliary vertex re-scores only the
-/// samples that contained it (kResample re-draws them). The deadline is
-/// checked inside the θ-loop as well as between rounds.
+/// decrease, and Block()ing its auxiliary vertex re-prunes and re-scores
+/// only the samples that contained it. The deadline is checked inside the
+/// θ-loop as well as between rounds.
 EdgeBlockingResult GreedyEdgeBlocking(const Graph& g,
                                       const std::vector<VertexId>& seeds,
                                       const EdgeBlockingOptions& options);

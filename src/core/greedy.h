@@ -56,8 +56,9 @@ struct GreedyOptions {
   /// Algorithm-2 θ-loop, not just between rounds.
   double time_limit_seconds = 0;
   /// Sample-pool maintenance policy across rounds (see
-  /// sampling/sample_pool.h): kResample re-draws affected samples with
-  /// fresh coins, kPrune re-prunes fixed live-edge worlds (fastest).
+  /// sampling/sample_pool.h). Block prunes the stored worlds in both
+  /// modes, so AG picks the same blockers under either; at an Unblock
+  /// kResample re-draws every sample, kPrune re-prunes its fixed worlds.
   SampleReuse sample_reuse = SampleReuse::kResample;
   /// Live-edge drawing strategy (common/sampler_kind.h): geometric skips
   /// over the probability-grouped adjacency (default) or per-edge coins.

@@ -63,9 +63,11 @@ struct SolverOptions {
   uint32_t threads = 1;
   /// Cooperative deadline in seconds, 0 = none (BG / AG / GR).
   double time_limit_seconds = 0;
-  /// Sample-pool reuse policy across greedy rounds (AG / GR): kResample
-  /// re-draws affected samples with fresh coins (paper-faithful), kPrune
-  /// keeps the θ live-edge worlds fixed and re-prunes them (fastest). See
+  /// Sample-pool reuse policy across greedy rounds (AG / GR). A Block
+  /// re-prunes the affected samples' stored worlds in both modes, so AG
+  /// is identical under either; they differ at GR's Unblock: kResample
+  /// re-draws every sample with fresh coins (paper-faithful), kPrune
+  /// re-prunes the fixed θ live-edge worlds (fastest). See
   /// docs/DESIGN.md §5.
   SampleReuse sample_reuse = SampleReuse::kResample;
   /// Live-edge drawing strategy for every stochastic traversal (BG / AG /

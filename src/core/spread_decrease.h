@@ -36,10 +36,11 @@ struct SpreadDecreaseOptions {
   /// Worker threads (1 = sequential).
   uint32_t threads = 1;
   /// How SpreadDecreaseEngine maintains its sample pool across blocker
-  /// rounds (no effect on the one-shot Compute* results): kResample
-  /// re-draws affected samples with fresh coins (paper-faithful);
-  /// kPrune re-prunes fixed live-edge worlds (fastest). See
-  /// sampling/sample_pool.h and docs/DESIGN.md §5.
+  /// rounds (no effect on the one-shot Compute* results). Block prunes
+  /// the affected samples' stored worlds in both modes; Unblock re-draws
+  /// every sample under kResample (paper-faithful) and re-prunes the
+  /// fixed worlds under kPrune (fastest). See sampling/sample_pool.h and
+  /// docs/DESIGN.md §5.
   SampleReuse sample_reuse = SampleReuse::kResample;
   /// How the θ live-edge samples are drawn (common/sampler_kind.h):
   /// kGeometricSkip jumps over the probability-grouped adjacency,

@@ -9,9 +9,9 @@
 // engine; the greedy algorithms keep the engine alive across rounds: it
 // keeps the samples, the per-sample dominator subtree sizes, and the
 // aggregate Δ. Block(v) touches only the samples whose region actually
-// contains v: their cached contributions are retired, the regions
-// re-derived under the new mask (pruned or re-drawn per SampleReuse),
-// re-scored, and re-added. Every number involved is an integer stored in
+// contains v: their cached contributions are retired, the regions pruned
+// under the new mask, re-scored, and re-added (Unblock re-prunes or
+// re-draws per SampleReuse). Every number involved is an integer stored in
 // a double (vertex weights are 0/1), so incremental subtract/add is exact
 // and results are bit-identical for any thread count.
 //

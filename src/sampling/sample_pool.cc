@@ -8,6 +8,15 @@
 
 namespace vblock {
 
+namespace {
+
+uint64_t RegionBytes(const SampledGraph& s) {
+  return VectorBytes(s.offsets) + VectorBytes(s.targets) +
+         VectorBytes(s.to_parent);
+}
+
+}  // namespace
+
 SamplePool::SamplePool(const Graph& g, VertexId root, const Options& options,
                        const TriggeringModel* model,
                        const VertexMask* build_blocked)
@@ -51,13 +60,13 @@ void SamplePool::DrawFresh(uint32_t i, Scratch* scratch) {
   }
 }
 
-void SamplePool::PruneFromPristine(uint32_t i, Scratch* scratch) {
-  const SampledGraph& pristine = undo_[i];
-  VBLOCK_DCHECK(!pristine.to_parent.empty());
-  const auto nv = static_cast<uint32_t>(pristine.to_parent.size());
-  const uint32_t* offsets = pristine.offsets.data();
-  const VertexId* targets = pristine.targets.data();
-  const VertexId* parents = pristine.to_parent.data();
+void SamplePool::Prune(const SampledGraph& world, SampledGraph* out,
+                       Scratch* scratch) {
+  VBLOCK_DCHECK(!world.to_parent.empty());
+  const auto nv = static_cast<uint32_t>(world.to_parent.size());
+  const uint32_t* offsets = world.offsets.data();
+  const VertexId* targets = world.targets.data();
+  const VertexId* parents = world.to_parent.data();
 
   if (scratch->visit_epoch.size() < nv) {
     scratch->visit_epoch.resize(nv, 0);
@@ -65,19 +74,18 @@ void SamplePool::PruneFromPristine(uint32_t i, Scratch* scratch) {
   }
   const uint32_t epoch = ++scratch->epoch;
 
-  SampledGraph& out = samples_[i];
-  out.Clear();
-  scratch->pristine_of.clear();
+  out->Clear();
+  scratch->world_of.clear();
 
-  // BFS over the stored live edges in pristine-local id space, skipping
+  // BFS over the stored live edges in the world's local id space, skipping
   // blocked vertices; local ids are re-densified so the output is a
   // self-contained SampledGraph like a fresh draw.
   scratch->visit_epoch[0] = epoch;
   scratch->local_id[0] = 0;
-  out.to_parent.push_back(parents[0]);
-  scratch->pristine_of.push_back(0);
-  for (uint32_t new_u = 0; new_u < scratch->pristine_of.size(); ++new_u) {
-    const uint32_t pu = scratch->pristine_of[new_u];
+  out->to_parent.push_back(parents[0]);
+  scratch->world_of.push_back(0);
+  for (uint32_t new_u = 0; new_u < scratch->world_of.size(); ++new_u) {
+    const uint32_t pu = scratch->world_of[new_u];
     for (uint32_t e = offsets[pu]; e < offsets[pu + 1]; ++e) {
       const uint32_t pv = targets[e];
       if (blocked_.Test(parents[pv])) continue;
@@ -86,14 +94,14 @@ void SamplePool::PruneFromPristine(uint32_t i, Scratch* scratch) {
         new_v = scratch->local_id[pv];
       } else {
         scratch->visit_epoch[pv] = epoch;
-        new_v = static_cast<uint32_t>(out.to_parent.size());
+        new_v = static_cast<uint32_t>(out->to_parent.size());
         scratch->local_id[pv] = new_v;
-        out.to_parent.push_back(parents[pv]);
-        scratch->pristine_of.push_back(pv);
+        out->to_parent.push_back(parents[pv]);
+        scratch->world_of.push_back(pv);
       }
-      out.targets.push_back(new_v);
+      out->targets.push_back(new_v);
     }
-    out.offsets.push_back(static_cast<uint32_t>(out.targets.size()));
+    out->offsets.push_back(static_cast<uint32_t>(out->targets.size()));
   }
 }
 
@@ -103,14 +111,21 @@ bool SamplePool::DeriveSample(uint32_t i, Scratch* scratch) {
   // writes into fresh buffers.
   const bool save = touched_[i] && undo_[i].to_parent.empty();
   if (save) std::swap(samples_[i], undo_[i]);
-  if (revision_[i] == 0) {
-    DrawFresh(i, scratch);  // initial draw, identical in both modes
-  } else if (options_.reuse == SampleReuse::kPrune) {
-    PruneFromPristine(i, scratch);
-  } else {
+  if (revision_[i] == 0 ||
+      (unblocking_ && options_.reuse == SampleReuse::kResample)) {
+    // A new world: the initial draw (identical in both modes) or a
+    // kResample Unblock's refresh.
     DrawFresh(i, scratch);
+    ++revision_[i];
+  } else if (options_.reuse == SampleReuse::kPrune || save) {
+    // The world in the undo slot: kPrune's pristine world, or the built
+    // region a kResample Block found current.
+    Prune(undo_[i], &samples_[i], scratch);
+  } else {
+    // kResample Block: prune the current region, the world drawn last.
+    std::swap(samples_[i], scratch->current);
+    Prune(scratch->current, &samples_[i], scratch);
   }
-  ++revision_[i];
   return save;
 }
 
@@ -235,11 +250,13 @@ void SamplePool::BeginBlock(VertexId v, std::vector<uint32_t>* dirty) {
   }
   std::sort(dirty->begin(), dirty->end());
   blocked_.Set(v);
+  unblocking_ = false;
 }
 
 void SamplePool::BeginUnblock(VertexId v, std::vector<uint32_t>* dirty) {
   VBLOCK_DCHECK(blocked_.Test(v) && !build_blocked_.Test(v));
   blocked_.Clear(v);
+  unblocking_ = true;
   if (options_.reuse == SampleReuse::kPrune) {
     for (uint64_t k = pristine_begin_[v]; k < pristine_begin_[v + 1]; ++k) {
       dirty->push_back(pristine_index_[k]);
@@ -278,7 +295,7 @@ uint64_t SamplePool::TotalRegionVertices() const {
 
 uint64_t SamplePool::Scratch::MemoryUsageBytes() const {
   uint64_t bytes = VectorBytes(local_id) + VectorBytes(visit_epoch) +
-                   VectorBytes(pristine_of);
+                   VectorBytes(world_of) + RegionBytes(current);
   if (ic_sampler) {
     bytes += sizeof(ReachableSampler) + ic_sampler->MemoryUsageBytes();
   }
@@ -292,12 +309,8 @@ uint64_t SamplePool::Scratch::MemoryUsageBytes() const {
 uint64_t SamplePool::MemoryUsageBytes() const {
   uint64_t bytes = sizeof(SamplePool) + build_blocked_.MemoryUsageBytes() +
                    blocked_.MemoryUsageBytes();
-  auto region_bytes = [](const SampledGraph& s) {
-    return VectorBytes(s.offsets) + VectorBytes(s.targets) +
-           VectorBytes(s.to_parent);
-  };
-  for (const SampledGraph& s : samples_) bytes += region_bytes(s);
-  for (const SampledGraph& s : undo_) bytes += region_bytes(s);
+  for (const SampledGraph& s : samples_) bytes += RegionBytes(s);
+  for (const SampledGraph& s : undo_) bytes += RegionBytes(s);
   bytes += VectorBytes(samples_) + VectorBytes(undo_) +
            VectorBytes(revision_) + VectorBytes(touched_);
   for (const auto& list : index_) bytes += VectorBytes(list);

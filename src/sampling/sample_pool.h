@@ -7,7 +7,8 @@
 // pool instead draws the samples once and maintains them *incrementally*
 // across rounds: an inverted index vertex → {samples containing it} pins
 // down exactly which samples a mask change can affect, and only those are
-// re-derived. Two reuse policies are supported (see SampleReuse below).
+// re-derived. A Block prunes each affected sample's stored world; the two
+// reuse policies differ only at Unblock (see SampleReuse below).
 //
 // The pool stores only sample regions and their bookkeeping; scoring
 // (dominator trees, Δ aggregation) lives in core/spread_decrease_engine.h,
@@ -49,7 +50,8 @@ class SamplePool {
     uint32_t theta = 10000;
     /// Base RNG seed. Sample i's initial draw uses MixSeed(seed, i), so
     /// results do not depend on the thread count. Re-draw r of sample i
-    /// (kResample) uses MixSeed(MixSeed(seed, i), r).
+    /// (a kResample Unblock; r counts the draws before it) uses
+    /// MixSeed(MixSeed(seed, i), r).
     uint64_t seed = 1;
     SampleReuse reuse = SampleReuse::kResample;
     /// Live-edge drawing strategy (common/sampler_kind.h).
@@ -58,18 +60,22 @@ class SamplePool {
 
   /// Per-thread scratch for DeriveSample: the sampler owns O(n) epoch-
   /// stamped visitation arrays; the prune buffers grow to the largest
-  /// pristine region ever pruned and are then allocation-free.
+  /// world ever pruned and are then allocation-free.
   struct Scratch {
     std::unique_ptr<ReachableSampler> ic_sampler;
     std::unique_ptr<TriggeringSampler> triggering_sampler;
-    // Prune-BFS state over pristine-local ids (kPrune re-derivations).
-    std::vector<uint32_t> local_id;     // pristine-local -> new-local
-    std::vector<uint32_t> visit_epoch;  // epoch stamp per pristine-local
-    std::vector<uint32_t> pristine_of;  // new-local -> pristine-local
+    // Prune-BFS state over the pruned world's local ids.
+    std::vector<uint32_t> local_id;     // world-local -> new-local
+    std::vector<uint32_t> visit_epoch;  // epoch stamp per world-local
+    std::vector<uint32_t> world_of;     // new-local -> world-local
     uint32_t epoch = 0;
+    // A kResample Block's source: the sample's current region, swapped
+    // out of its slot so the prune can write the slot. Holds the last
+    // such region's buffers between calls.
+    SampledGraph current;
 
-    /// Heap bytes held: the prune buffers above and the sampler (object
-    /// and arrays).
+    /// Heap bytes held: the prune buffers above, the swapped-out region
+    /// and the sampler (object and arrays).
     uint64_t MemoryUsageBytes() const;
   };
 
@@ -96,13 +102,18 @@ class SamplePool {
   /// Creates a scratch bound to this pool (and its blocked mask).
   Scratch MakeScratch() const;
 
-  /// (Re-)derives sample i under the current blocked mask. Revision 0 draws
-  /// from the base graph; later revisions re-prune (kPrune) or re-draw
-  /// (kResample). Thread-safe for distinct i; the caller must have removed
-  /// i from the index first and must re-add it afterwards. The first call
-  /// for a sample touched since the last restore moves its region into the
-  /// sample's undo slot and derives into fresh buffers; it returns true
-  /// exactly then, so a caller caching per-sample state can save it too.
+  /// (Re-)derives sample i under the current blocked mask, for the last
+  /// Begin* call. Revision 0 (build, migrate, a re-deriving kResample
+  /// restore) draws from the base graph. After a BeginBlock both modes
+  /// prune a stored world: kPrune its pristine world, kResample its
+  /// current region. After a BeginUnblock kPrune re-prunes the pristine
+  /// world and kResample draws a new world; only draws advance the
+  /// sample's revision. Thread-safe for distinct i; the caller must have
+  /// removed i from the index first and must re-add it afterwards. The
+  /// first call for a sample touched since the last restore moves its
+  /// region into the sample's undo slot and derives into fresh buffers; it
+  /// returns true exactly then, so a caller caching per-sample state can
+  /// save it too.
   bool DeriveSample(uint32_t i, Scratch* scratch);
 
   /// kPrune: builds the static vertex→samples CSR over the freshly drawn
@@ -126,9 +137,9 @@ class SamplePool {
 
   /// Clears v from the mask and appends the samples that may regain
   /// vertices: in kPrune the pristine index of v (static superset of every
-  /// region that can re-expand through v); in kResample the entire pool
-  /// (full refresh — unblocking is rare and only GreedyReplace phase 2
-  /// does it).
+  /// region that can re-expand through v); in kResample the entire pool,
+  /// each of which DeriveSample re-draws as a new world (full refresh —
+  /// unblocking is rare and only GreedyReplace phase 2 does it).
   void BeginUnblock(VertexId v, std::vector<uint32_t>* dirty);
 
   /// Resets the blocked mask to the build-time mask and appends exactly
@@ -202,7 +213,8 @@ class SamplePool {
 
  private:
   void DrawFresh(uint32_t i, Scratch* scratch);
-  void PruneFromPristine(uint32_t i, Scratch* scratch);
+  // BFS over `world`'s stored live edges under the current mask, into *out.
+  void Prune(const SampledGraph& world, SampledGraph* out, Scratch* scratch);
   void BuildPristineIndex();
 
   const Graph& graph_;
@@ -212,9 +224,12 @@ class SamplePool {
   VertexMask build_blocked_;  // the build-time mask; restores return to it
   VertexMask blocked_;
 
-  // Current regions + per-sample re-draw revision (kResample seeding).
+  // Current regions + per-sample count of draws (re-draw seeding).
   std::vector<SampledGraph> samples_;
   std::vector<uint32_t> revision_;
+  // Set by BeginUnblock, cleared by BeginBlock: the pending DeriveSample
+  // calls serve an Unblock, which under kResample draws new worlds.
+  bool unblocking_ = false;
   // Samples touched by BeginBlock/BeginUnblock since the build (or the
   // last BeginRestore) — exactly the set a restore must put back.
   std::vector<uint8_t> touched_;

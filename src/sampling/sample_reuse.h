@@ -10,18 +10,19 @@
 
 namespace vblock {
 
-/// How a SamplePool reacts when the blocked mask changes.
+/// How a SamplePool reacts when a vertex is unblocked. Blocking is the
+/// same in both modes: the samples whose region contains the vertex are
+/// re-*pruned* — a BFS over the live edges they store, no RNG — which
+/// keeps the pool θ independent samples of G[V\B].
 enum class SampleReuse : uint8_t {
-  /// Paper-faithful randomness: samples whose region contains a newly
-  /// blocked vertex are re-*drawn* with fresh coins under the new mask
-  /// (targeted re-draw); unblocking refreshes the whole pool, matching the
-  /// paper's per-invocation re-sampling.
+  /// Paper-faithful randomness: unblocking re-*draws* the whole pool with
+  /// fresh coins, matching the paper's per-invocation re-sampling.
   kResample = 0,
   /// Fixed-pool mode: the θ live-edge worlds are drawn once and kept for
-  /// the whole run. A mask change re-*prunes* the affected samples — a BFS
-  /// over the stored live edges, no RNG — which couples every round to the
-  /// same worlds (CELF-style common random numbers) and is the fastest
-  /// mode by a wide margin.
+  /// the whole run. Unblocking re-prunes the samples that can re-expand
+  /// through the vertex from their built worlds, which couples every
+  /// round to the same worlds (CELF-style common random numbers) and is
+  /// the fastest mode for GreedyReplace.
   kPrune = 1,
 };
 

@@ -1,16 +1,15 @@
 #include "sampling/world_enumerator.h"
 
+#include <algorithm>
 #include <string>
 
 #include "common/check.h"
 
 namespace vblock {
 
-WorldEnumerator::WorldEnumerator(const Graph& g, VertexId root,
+WorldEnumerator::WorldEnumerator(const Graph& g,
+                                 const std::vector<VertexId>& seeds,
                                  const VertexMask* blocked) {
-  VBLOCK_CHECK_MSG(root < g.NumVertices(), "root out of range");
-  VBLOCK_CHECK_MSG(!(blocked && blocked->Test(root)), "root must not be blocked");
-
   std::vector<VertexId> local_of(g.NumVertices(), kInvalidVertex);
   auto add = [&](VertexId v) {
     if (local_of[v] != kInvalidVertex) return;
@@ -18,7 +17,11 @@ WorldEnumerator::WorldEnumerator(const Graph& g, VertexId root,
     local_of[v] = static_cast<VertexId>(members_.size());
     members_.push_back(v);
   };
-  add(root);
+  for (VertexId s : seeds) {
+    VBLOCK_CHECK_MSG(s < g.NumVertices(), "seed out of range");
+    add(s);
+  }
+  num_seeds_ = static_cast<VertexId>(members_.size());
   for (size_t head = 0; head < members_.size(); ++head) {
     VertexId u = members_[head];
     auto targets = g.OutNeighbors(u);
@@ -28,9 +31,9 @@ WorldEnumerator::WorldEnumerator(const Graph& g, VertexId root,
     }
   }
 
+  // Locals are visited in order, so the certain edges land in CSR order.
   const auto local_n = static_cast<VertexId>(members_.size());
-  certain_offsets_.assign(local_n + 1, 0);
-  std::vector<std::pair<VertexId, VertexId>> certain;
+  certain_offsets_.assign(1, 0);
   for (VertexId local_u = 0; local_u < local_n; ++local_u) {
     VertexId u = members_[local_u];
     auto targets = g.OutNeighbors(u);
@@ -39,30 +42,32 @@ WorldEnumerator::WorldEnumerator(const Graph& g, VertexId root,
       VertexId local_v = local_of[targets[k]];
       if (local_v == kInvalidVertex) continue;
       if (probs[k] >= 1.0) {
-        certain.emplace_back(local_u, local_v);
+        certain_targets_.push_back(local_v);
       } else if (probs[k] > 0.0) {
         uncertain_.push_back({local_u, local_v, probs[k]});
       }
     }
+    certain_offsets_.push_back(
+        static_cast<uint32_t>(certain_targets_.size()));
   }
-  for (auto [s, t] : certain) ++certain_offsets_[s + 1];
-  for (VertexId v = 0; v < local_n; ++v) {
-    certain_offsets_[v + 1] += certain_offsets_[v];
-  }
-  certain_targets_.resize(certain.size());
-  std::vector<uint32_t> cursor(certain_offsets_.begin(),
-                               certain_offsets_.end() - 1);
-  for (auto [s, t] : certain) certain_targets_[cursor[s]++] = t;
+}
+
+WorldEnumerator::WorldEnumerator(const Graph& g, VertexId root,
+                                 const VertexMask* blocked)
+    : WorldEnumerator(g, std::vector<VertexId>(1, root), blocked) {
+  VBLOCK_CHECK_MSG(num_seeds_ == 1, "root must not be blocked");
 }
 
 Status WorldEnumerator::ForEachWorld(
     const std::function<void(double, const SampledGraph&)>& fn,
     int max_uncertain_edges) const {
   const int k = NumUncertainEdges();
-  if (k > max_uncertain_edges) {
+  // 2^63 is the most worlds the 64-bit world counter can step through.
+  const int limit = std::min(max_uncertain_edges, 63);
+  if (k > limit) {
     return Status::ResourceExhausted(
         "world enumeration needs 2^" + std::to_string(k) + " worlds (limit 2^" +
-        std::to_string(max_uncertain_edges) + ")");
+        std::to_string(limit) + ")");
   }
   const auto local_n = static_cast<VertexId>(members_.size());
 
@@ -86,7 +91,7 @@ Status WorldEnumerator::ForEachWorld(
     }
     if (weight == 0.0) continue;
 
-    // Root-reachable live region of this world, in SampledGraph layout.
+    // Seed-reachable live region of this world, in SampledGraph layout.
     // queue_local[i] is the universe-local id of sample vertex i.
     sample.Clear();
     std::fill(reached.begin(), reached.end(), 0);
@@ -97,7 +102,7 @@ Status WorldEnumerator::ForEachWorld(
       sample.to_parent.push_back(members_[local_v]);
       queue_local.push_back(local_v);
     };
-    visit(0);
+    for (VertexId s = 0; s < num_seeds_; ++s) visit(s);
     for (size_t head = 0; head < queue_local.size(); ++head) {
       VertexId local_u = queue_local[head];
       for (uint32_t i = certain_offsets_[local_u];

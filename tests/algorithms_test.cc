@@ -109,6 +109,29 @@ TEST(AdvancedGreedyTest, DeadlineReturnsPartialResult) {
   EXPECT_LT(sel.blockers.size(), 100000u);
 }
 
+TEST(AdvancedGreedyTest, ReuseModesPickTheSameBlockersAndRoundDeltas) {
+  // AG never unblocks, and a Block prunes the stored worlds in both reuse
+  // modes, so the two modes score every round on the same samples.
+  for (Graph g : {WithWeightedCascade(GenerateBarabasiAlbert(600, 3, 5)),
+                  WithTrivalency(GenerateBarabasiAlbert(600, 3, 6), 7)}) {
+    for (SamplerKind kind :
+         {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
+      GreedyOptions opts;
+      opts.budget = 10;
+      opts.theta = 500;
+      opts.seed = 3;
+      opts.sampler_kind = kind;
+      opts.sample_reuse = SampleReuse::kPrune;
+      const BlockerSelection prune = AdvancedGreedy(g, 0, opts);
+      opts.sample_reuse = SampleReuse::kResample;
+      const BlockerSelection resample = AdvancedGreedy(g, 0, opts);
+      ASSERT_EQ(prune.blockers.size(), 10u);
+      EXPECT_EQ(prune.blockers, resample.blockers);
+      EXPECT_EQ(prune.stats.round_best_delta, resample.stats.round_best_delta);
+    }
+  }
+}
+
 // ------------------------------------------------ Table III: OutNeighbors --
 
 TEST(GreedyReplaceTest, TableIIIBudget1ReplacesWithV5) {

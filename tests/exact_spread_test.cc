@@ -1,10 +1,13 @@
 // Unit tests for the exact expected-spread computation (live-edge world
-// enumeration), including all Example-1 and Theorem-2 golden values.
+// enumeration), including all Example-1 and Theorem-2 golden values and
+// the typed errors for seeds out of range and 2^64 or more worlds.
 
 #include <gtest/gtest.h>
 
 #include "cascade/exact_spread.h"
 #include "cascade/monte_carlo.h"
+#include "core/evaluator.h"
+#include "core/spread_decrease.h"
 #include "gen/generators.h"
 #include "prob/probability_models.h"
 #include "testing/toy_graphs.h"
@@ -150,6 +153,61 @@ TEST(ExactSpreadTest, BlockedSeedYieldsZero) {
   auto spread = ComputeExactSpread(g, {0}, &mask);
   ASSERT_TRUE(spread.ok());
   EXPECT_DOUBLE_EQ(*spread, 0.0);
+}
+
+TEST(ExactSpreadTest, DuplicateAndBlockedSeedsAddNothing) {
+  Graph g = WithUniformProbability(GenerateErdosRenyi(12, 20, 3), 0.1, 0.9, 4);
+  VertexMask mask(g.NumVertices());
+  mask.Set(7);
+  const std::vector<VertexId> seeds = {0, 7, 5, 0, 5};
+  auto spread = ComputeExactSpread(g, seeds, &mask);
+  auto probs = ComputeExactActivationProbabilities(g, seeds, &mask);
+  ASSERT_TRUE(spread.ok());
+  ASSERT_TRUE(probs.ok());
+  double total = 0;
+  for (double p : *probs) total += p;
+  EXPECT_NEAR(total, *spread, 1e-12);
+  EXPECT_EQ((*probs)[7], 0.0);
+  EXPECT_NEAR((*probs)[0], 1.0, 1e-12);
+  EXPECT_NEAR((*probs)[5], 1.0, 1e-12);
+  // The same worlds in the same order: the same bits.
+  auto clean = ComputeExactSpread(g, {0, 5}, &mask);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(*spread, *clean);
+}
+
+TEST(ExactSpreadTest, SixtyFourUncertainEdgesAreRefusedAtAnyCap) {
+  // 2^64 worlds overflow the world counter: every exact path refuses
+  // them, even under a cap of 64, and EvaluateSpread falls back to
+  // Monte-Carlo. The true spread is 1 + 64 · 0.5 = 33.
+  Graph g = StarGraph(65, 0.5);
+  ExactSpreadOptions opts;
+  opts.max_uncertain_edges = 64;
+  auto spread = ComputeExactSpread(g, {0}, nullptr, opts);
+  ASSERT_FALSE(spread.ok());
+  EXPECT_EQ(spread.status().code(), StatusCode::kResourceExhausted);
+  auto probs = ComputeExactActivationProbabilities(g, {0}, nullptr, opts);
+  ASSERT_FALSE(probs.ok());
+  EXPECT_EQ(probs.status().code(), StatusCode::kResourceExhausted);
+  auto delta = ComputeSpreadDecreaseExact(g, 0, nullptr, 64);
+  ASSERT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kResourceExhausted);
+
+  EvaluationOptions eval;
+  eval.prefer_exact = true;
+  eval.max_uncertain_edges = 64;
+  eval.mc_rounds = 20000;
+  EXPECT_NEAR(EvaluateSpread(g, {0}, {}, eval), 33.0, 1.0);
+}
+
+TEST(ExactSpreadTest, SeedOutOfRangeIsTypedError) {
+  Graph g = PathGraph(4, 0.5);
+  auto spread = ComputeExactSpread(g, {0, 4});
+  ASSERT_FALSE(spread.ok());
+  EXPECT_EQ(spread.status().code(), StatusCode::kOutOfRange);
+  auto probs = ComputeExactActivationProbabilities(g, {4});
+  ASSERT_FALSE(probs.ok());
+  EXPECT_EQ(probs.status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -756,11 +756,13 @@ TEST(SamplePoolEngineTest, EngineMemoryUsageIncludesScoringState) {
 }
 
 TEST(SamplePoolEngineTest, ParkedEngineAccountCoversEveryHeldByte) {
-  // Large n, small regions: the pool holds about ten vertices per sample
-  // while the surviving worker's sampler keeps O(n) visitation arrays, so
-  // an account that skips per-worker scratch falls far short. Vertex 1 is
-  // in about 90% of the regions, so Block(1) fills most undo slots.
-  Graph g = PathGraph(100000, 0.9);
+  // Large n, small regions: the pool holds about a hundred vertices per
+  // sample while the surviving worker's sampler keeps O(n) visitation
+  // arrays, so an account that skips per-worker scratch falls far short.
+  // Vertex 1 is in about 99% of the regions, so Block(1) fills most undo
+  // slots. The regions are large enough that the one a worker keeps after
+  // a kResample Block exceeds the account's slack.
+  Graph g = PathGraph(100000, 0.99);
   g.GroupedView();  // graph-owned, not the engine's: built before the tally
   for (SampleReuse reuse : {SampleReuse::kPrune, SampleReuse::kResample}) {
     SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
@@ -777,6 +779,13 @@ TEST(SamplePoolEngineTest, ParkedEngineAccountCoversEveryHeldByte) {
     engine.ReleaseThreads();
     int64_t held = g_live_bytes.load() - before;
     ASSERT_GT(held, 0);
+    EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
+    // Under kResample a Block after an Unblock prunes the current regions,
+    // so the surviving worker also holds the last region it swapped out of
+    // a sample's slot.
+    ASSERT_TRUE(engine.Block(1));
+    engine.ReleaseThreads();
+    held = g_live_bytes.load() - before;
     EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
 
     engine.Restore();

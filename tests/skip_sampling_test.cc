@@ -6,8 +6,7 @@
 // under kGeometricSkip, allocation-free steady-state sampling, and a
 // statistical cross-check that blocked-spread estimates under both kinds
 // agree within 2% on a WC-model generator graph. Also covers EstimateSpread / EstimateActivationProbabilities
-// thread-count bit-invariance on the thread pool, and the parallel
-// flat-buffer Brandes.
+// thread-count bit-invariance on the thread pool.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "cascade/monte_carlo.h"
 #include "cascade/rr_sets.h"
 #include "cascade/triggering.h"
-#include "core/betweenness.h"
 #include "core/evaluator.h"
 #include "core/greedy.h"
 #include "core/spread_decrease.h"
@@ -531,38 +529,6 @@ TEST(SkipSamplingSatelliteTest,
     mc.threads = threads;
     EXPECT_EQ(EstimateActivationProbabilities(g, {0}, mc), reference)
         << "threads=" << threads;
-  }
-}
-
-TEST(SkipSamplingSatelliteTest, ParallelBetweennessMatchesSequential) {
-  Graph g = GenerateErdosRenyi(120, 700, 29);
-  BetweennessOptions opts;
-  const std::vector<double> reference = ComputeBetweenness(g, opts);
-  for (uint32_t threads : {2u, 8u}) {
-    opts.threads = threads;
-    const std::vector<double> parallel = ComputeBetweenness(g, opts);
-    ASSERT_EQ(parallel.size(), reference.size());
-    for (size_t v = 0; v < reference.size(); ++v) {
-      // Association of the per-source partial sums differs, so allow ulp-
-      // scale drift; blocker rankings below must still agree.
-      EXPECT_NEAR(parallel[v], reference[v],
-                  1e-9 * (1.0 + std::abs(reference[v])));
-    }
-    EXPECT_EQ(BetweennessBlockers(g, {0}, 10, opts),
-              BetweennessBlockers(g, {0}, 10, BetweennessOptions{}));
-  }
-
-  // Pivot-sampled path: the pivot draw is unchanged, so any thread count
-  // sees the same sources.
-  BetweennessOptions pivots;
-  pivots.pivots = 32;
-  pivots.seed = 5;
-  const std::vector<double> pivot_ref = ComputeBetweenness(g, pivots);
-  pivots.threads = 4;
-  const std::vector<double> pivot_par = ComputeBetweenness(g, pivots);
-  for (size_t v = 0; v < pivot_ref.size(); ++v) {
-    EXPECT_NEAR(pivot_par[v], pivot_ref[v],
-                1e-9 * (1.0 + std::abs(pivot_ref[v])));
   }
 }
 
