@@ -23,8 +23,8 @@ struct MonteCarloOptions {
   uint32_t rounds = 10000;
   /// Base RNG seed; round i uses MixSeed(seed, i).
   uint64_t seed = 1;
-  /// Number of worker threads; 1 = sequential. Results are identical for
-  /// any thread count (per-round seeding + integer per-slot reduction).
+  /// Most process-executor slots (1 = inline). Results are identical for
+  /// any value (per-round seeding + integer per-slot reduction).
   uint32_t threads = 1;
   /// How each simulation draws live edges (common/sampler_kind.h). The two
   /// kinds consume randomness differently, so estimates differ between

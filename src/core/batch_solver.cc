@@ -218,27 +218,20 @@ BatchResult BatchSolver::Solve(const std::vector<IminQuery>& queries) const {
     }
   };
 
-  const uint32_t num_threads = std::max<uint32_t>(
+  // One group per claim: group costs are heavily skewed (a GR sweep vs an
+  // out-degree top-k), and the map orders groups by algorithm, so a claim
+  // of several would cluster the expensive ones. Which participant runs a
+  // group never affects its result, so determinism is untouched.
+  const uint32_t slots = std::max<uint32_t>(
       1, std::min<uint32_t>(options_.num_threads,
                             static_cast<uint32_t>(groups.size())));
-  if (num_threads > 1) {
-    // Dynamic dispatch rather than ParallelFor's static chunks: group
-    // costs are heavily skewed (a GR sweep vs an out-degree top-k), and
-    // the map orders groups by algorithm, which would cluster the
-    // expensive ones into one worker's chunk. Which thread runs a group
-    // never affects its result, so determinism is untouched.
-    std::atomic<uint32_t> next{0};
-    ThreadPool pool(num_threads);
-    pool.ParallelFor(num_threads, [&](uint32_t, uint32_t, uint32_t) {
-      for (uint32_t gi = next.fetch_add(1, std::memory_order_relaxed);
-           gi < groups.size();
-           gi = next.fetch_add(1, std::memory_order_relaxed)) {
-        run_group(gi);
-      }
-    });
-  } else {
-    for (uint32_t gi = 0; gi < groups.size(); ++gi) run_group(gi);
-  }
+  std::atomic<uint32_t> next{0};
+  ParallelFor(slots, slots, [&](uint32_t, uint32_t, uint32_t) {
+    for (uint32_t gi = next.fetch_add(1); gi < groups.size();
+         gi = next.fetch_add(1)) {
+      run_group(gi);
+    }
+  });
 
   for (const BatchStats& s : group_stats) {
     out.stats.full_solves += s.full_solves;

@@ -19,7 +19,8 @@
 //     SolveGreedy per budget on a single WarmEntry (core/greedy.h), whose
 //     θ-sample pool is built once and restored between budgets (in both
 //     reuse modes), and
-//  3. schedules independent groups across a common/thread_pool, each group
+//  3. schedules independent groups on the process executor
+//     (common/thread_pool.h), each group
 //     writing only its own queries' result slots — output order and content
 //     are independent of num_threads and of the submission order.
 //
@@ -74,13 +75,14 @@ struct IminQuery {
 struct BatchOptions {
   /// Default solver knobs for fields a query does not override. The
   /// `algorithm` and `budget` members are ignored — those are per-query —
-  /// while `threads` sets the engine sampling threads of every group
+  /// while `threads` caps the engine sampling slots of every group
   /// (engine results are thread-count invariant, so this never changes
   /// answers).
   SolverOptions defaults;
-  /// Worker threads the batch schedules query *groups* across (independent
-  /// of defaults.threads, which parallelizes inside one solve). Results are
-  /// identical for any value.
+  /// Most executor slots the batch schedules query *groups* across
+  /// (independent of defaults.threads, which parallelizes inside one
+  /// solve; both share the process executor). Results are identical for
+  /// any value.
   uint32_t num_threads = 1;
 };
 

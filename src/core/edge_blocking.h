@@ -68,7 +68,7 @@ struct EdgeBlockingOptions {
   uint32_t theta = 10000;
   /// Base RNG seed.
   uint64_t seed = 1;
-  /// Worker threads.
+  /// Most process-executor slots per sampling pass (1 = inline).
   uint32_t threads = 1;
   /// Cooperative deadline in seconds (0 = none).
   double time_limit_seconds = 0;

@@ -25,7 +25,7 @@ struct EvaluationOptions {
   uint32_t mc_rounds = 100000;
   /// RNG seed for the sampling path.
   uint64_t seed = 0x5eedf00d;
-  /// Worker threads for the sampling path.
+  /// Most process-executor slots for the sampling path (1 = inline).
   uint32_t threads = 1;
   /// Live-edge drawing strategy for the sampling path
   /// (common/sampler_kind.h).

@@ -50,7 +50,7 @@ struct GreedyOptions {
   uint32_t theta = 10000;
   /// Base RNG seed.
   uint64_t seed = 1;
-  /// Worker threads for the sampling passes.
+  /// Most process-executor slots per sampling pass (1 = inline).
   uint32_t threads = 1;
   /// Cooperative deadline in seconds (0 = none). Honored inside the
   /// Algorithm-2 θ-loop, not just between rounds.

@@ -59,7 +59,9 @@ struct SolverOptions {
   uint32_t mc_rounds = 10000;
   /// Base RNG seed (all stochastic algorithms).
   uint64_t seed = 1;
-  /// Worker threads for sampling passes (AG / GR).
+  /// Most process-executor slots (common/thread_pool.h) one sampling or
+  /// Monte-Carlo loop uses (AG / GR / BG); 1 runs inline. Never changes
+  /// results.
   uint32_t threads = 1;
   /// Cooperative deadline in seconds, 0 = none (BG / AG / GR).
   double time_limit_seconds = 0;

@@ -33,7 +33,9 @@ struct SpreadDecreaseOptions {
   /// Base RNG seed; sample i uses MixSeed(seed, i), so results do not
   /// depend on the thread count.
   uint64_t seed = 1;
-  /// Worker threads (1 = sequential).
+  /// Most process-executor slots the θ-loop uses (1 = inline on the
+  /// calling thread); clamped to θ and to ExecutorWidth(). Never changes
+  /// results.
   uint32_t threads = 1;
   /// How SpreadDecreaseEngine maintains its sample pool across blocker
   /// rounds (no effect on the one-shot Compute* results). Block prunes

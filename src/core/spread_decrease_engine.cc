@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "obs/solve_trace.h"
 
 namespace vblock {
@@ -40,12 +41,9 @@ SpreadDecreaseEngine::SpreadDecreaseEngine(
                                 options.sample_reuse, options.sampler_kind},
             model, blocked) {
   if (vertex_weight) weight_ = CheckZeroOneWeights(g, *vertex_weight);
-  num_threads_ = std::max<uint32_t>(1, std::min(options.threads,
-                                                options.theta));
-  workers_.reserve(num_threads_);
-  for (uint32_t t = 0; t < num_threads_; ++t) {
-    workers_.push_back(Worker{pool_.MakeScratch(), {}});
-  }
+  num_threads_ = std::max<uint32_t>(
+      1, std::min({options.threads, options.theta, ExecutorWidth()}));
+  workers_.push_back(Worker{pool_.MakeScratch(), {}});
 }
 
 void SpreadDecreaseEngine::Contribute(uint32_t i, double sign) {
@@ -61,9 +59,10 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
                                           bool initial) {
   // Stage attribution: the retire/publish bookkeeping passes accumulate
   // under kScore; each re-derived sample's draw and dominator-tree time
-  // land in kSampleDraw/kDomTree from whichever worker ran it. Leaf
-  // stages overlap any enclosing span (e.g. kPoolBuild), so per-stage
-  // totals are attributions, not a partition of wall time.
+  // land in kSampleDraw/kDomTree from whichever participant ran it. Leaf
+  // stages overlap any enclosing span (e.g. kPoolBuild) and sum across
+  // participants, so per-stage totals are attributions, not a partition
+  // of wall time, and can exceed the enclosing span's wall clock.
   obs::SolveTrace* const trace = trace_;
 
   // Retire pass (sequential): subtract the dirty samples' cached
@@ -80,39 +79,44 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
     }
   }
 
-  // Re-derive + re-score pass (parallel): each dirty sample is rebuilt
-  // under the current mask and its dominator subtree sizes recomputed into
-  // its cache slot. Per-sample deadline checks let huge θ-loops abort.
+  // Re-derive + re-score pass (parallel on the process executor, in
+  // dynamic chunks; each slot owns one Worker): each dirty sample is
+  // rebuilt under the current mask and its dominator subtree sizes
+  // recomputed into its cache slot. Per-sample deadline checks let huge
+  // θ-loops abort.
+  const auto count = static_cast<uint32_t>(dirty_.size());
+  const uint32_t slots = std::min(num_threads_, count);
+  while (workers_.size() < slots) {
+    workers_.push_back(Worker{pool_.MakeScratch(), {}});
+  }
   std::atomic<bool> expired{false};
-  RunParallel(
-      static_cast<uint32_t>(dirty_.size()),
-      [&](uint32_t t, uint32_t begin, uint32_t end) {
-        Worker& w = workers_[t];
-        for (uint32_t d = begin; d < end; ++d) {
-          if (expired.load(std::memory_order_relaxed)) return;
-          if (deadline.Expired()) {
-            expired.store(true, std::memory_order_relaxed);
-            return;
-          }
-          const uint32_t i = dirty_[d];
-          // Leaf timing runs on the parallel workers — relaxed atomic adds
-          // into the stage cells, two clock reads per sample, only when a
-          // trace is attached.
-          const uint64_t draw_begin = trace ? obs::SolveTrace::NowNanos() : 0;
-          // The pool saved the built region in its undo slot: save the
-          // built sizes beside it, so Restore can put both back.
-          if (pool_.DeriveSample(i, &w.scratch)) {
-            saved_sizes_[i].swap(sizes_[i]);
-          }
-          const uint64_t draw_end = trace ? obs::SolveTrace::NowNanos() : 0;
-          w.scorer.Score(pool_.sample(i), weight_, &sizes_[i]);
-          if (trace) {
-            trace->Add(obs::SolveStage::kSampleDraw, draw_end - draw_begin);
-            trace->Add(obs::SolveStage::kDomTree,
-                       obs::SolveTrace::NowNanos() - draw_end);
-          }
-        }
-      });
+  ParallelFor(count, slots, [&](uint32_t t, uint32_t begin, uint32_t end) {
+    Worker& w = workers_[t];
+    for (uint32_t d = begin; d < end; ++d) {
+      if (expired.load(std::memory_order_relaxed)) return;
+      if (deadline.Expired()) {
+        expired.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const uint32_t i = dirty_[d];
+      // Leaf timing runs on every participant — relaxed atomic adds into
+      // the stage cells, two clock reads per sample, only when a trace is
+      // attached.
+      const uint64_t draw_begin = trace ? obs::SolveTrace::NowNanos() : 0;
+      // The pool saved the built region in its undo slot: save the built
+      // sizes beside it, so Restore can put both back.
+      if (pool_.DeriveSample(i, &w.scratch)) {
+        saved_sizes_[i].swap(sizes_[i]);
+      }
+      const uint64_t draw_end = trace ? obs::SolveTrace::NowNanos() : 0;
+      w.scorer.Score(pool_.sample(i), weight_, &sizes_[i]);
+      if (trace) {
+        trace->Add(obs::SolveStage::kSampleDraw, draw_end - draw_begin);
+        trace->Add(obs::SolveStage::kDomTree,
+                   obs::SolveTrace::NowNanos() - draw_end);
+      }
+    }
+  });
   if (expired.load()) {
     timed_out_ = true;
     return false;
@@ -199,8 +203,8 @@ uint32_t SpreadDecreaseEngine::MigrateGraph(
   obs::ScopedSpan span(trace_, obs::SolveStage::kMigrate);
   // The samplers captured a pointer to the old graph content's grouped
   // view at construction — rebuild every live worker's scratch against
-  // the swapped-in graph before any re-derivation. (Workers RunParallel
-  // re-spawns later get fresh scratches anyway.)
+  // the swapped-in graph before any re-derivation. (Workers grown later
+  // get fresh scratches anyway.)
   for (Worker& w : workers_) w.scratch = pool_.MakeScratch();
   dirty_.clear();
   pool_.BeginMigrate(changed_out, changed_in, &dirty_);

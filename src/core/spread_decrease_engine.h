@@ -22,11 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/spread_decrease.h"
 #include "domtree/dominator_tree.h"
@@ -164,23 +162,23 @@ class SpreadDecreaseEngine {
   /// Heap bytes held by the engine: the pool (with both masks and its undo
   /// slots), the per-sample subtree size caches and their undo slots, the
   /// vertex weights, the score vector
-  /// and every live worker's scratch — its sampler's O(n) visitation
-  /// arrays, prune buffers and dominator workspace. ReleaseThreads trims
-  /// the workers to one before an engine is cached, so a parked engine
-  /// still holds one O(n) scratch set. Feeds the warm-pool cache's byte
-  /// budget (service/pool_cache.h).
+  /// and every per-slot worker's scratch — its sampler's O(n) visitation
+  /// arrays, prune buffers and dominator workspace. TrimScratch drops the
+  /// workers to one fresh set before an engine is cached, so a parked
+  /// engine still holds one O(n) scratch set. Feeds the warm-pool cache's
+  /// byte budget (service/pool_cache.h).
   uint64_t MemoryUsageBytes() const;
 
-  /// Joins and drops the engine's worker threads AND the extra per-thread
-  /// scratch (sampler arrays, dominator workspaces) — both re-materialize
-  /// lazily on the next parallel update. The warm-pool cache parks engines
-  /// through this so N cached entries never pin N × (threads-1) idle OS
-  /// threads or scratch sets; worker 0 survives, keeping the inline path
-  /// (and its allocation-free steady state) intact. Results are unaffected
-  /// (thread-count invariance).
-  void ReleaseThreads() {
-    threads_.reset();
-    if (workers_.size() > 1) workers_.resize(1);
+  /// Drops the per-slot scratch (sampler arrays, dominator workspaces)
+  /// down to one fresh set; the rest re-materializes on the next parallel
+  /// update. The warm-pool cache parks engines through this, so N cached
+  /// entries never pin N × (threads − 1) idle scratch sets, and a parked
+  /// engine's account never depends on which slot happened to run which
+  /// sample (the cache's evictions stay deterministic). Results are
+  /// unaffected (thread-count invariance).
+  void TrimScratch() {
+    workers_.clear();
+    workers_.push_back(Worker{pool_.MakeScratch(), {}});
   }
 
   /// Attaches (or detaches, with nullptr) a per-solve trace sink. Not
@@ -190,7 +188,7 @@ class SpreadDecreaseEngine {
   void set_trace(obs::SolveTrace* trace) { trace_ = trace; }
 
  private:
-  // Per-thread state: pool scratch plus the dominator-pass buffers.
+  // Per-slot state: pool scratch plus the dominator-pass buffers.
   struct Worker {
     SamplePool::Scratch scratch;
     SampleScorer scorer;
@@ -205,33 +203,13 @@ class SpreadDecreaseEngine {
   // Δ and spread sums. Sequential; exact, as every summand is an integer.
   void Contribute(uint32_t i, double sign);
 
-  // The inline branch is not redundant with ThreadPool's own threads==1
-  // path: ParallelFor takes a std::function, whose construction from a
-  // capturing lambda heap-allocates per call — the template keeps the
-  // single-threaded hot path allocation-free (asserted by
-  // tests/sample_pool_test.cc). The lazy re-spawn serves ReleaseThreads:
-  // a parked-then-reused engine gets its workers back on first need.
-  template <typename Fn>
-  void RunParallel(uint32_t count, Fn&& fn) {
-    if (num_threads_ > 1 && !threads_) {
-      threads_ = std::make_unique<ThreadPool>(num_threads_);
-      while (workers_.size() < num_threads_) {
-        workers_.push_back(Worker{pool_.MakeScratch(), {}});
-      }
-    }
-    if (threads_) {
-      threads_->ParallelFor(count, fn);
-    } else if (count > 0) {
-      fn(0, 0, count);
-    }
-  }
-
   const Graph& graph_;
   VertexId root_;
   SamplePool pool_;
+  // Most ParallelFor slots per θ-loop: `threads`, clamped to θ and to
+  // the executor's width.
   uint32_t num_threads_ = 1;
-  std::unique_ptr<ThreadPool> threads_;  // spawned lazily; null when 1-threaded
-  std::vector<Worker> workers_;
+  std::vector<Worker> workers_;  // one per slot; grown lazily, trimmed to 1
 
   // 0/1 vertex weights by vertex id; empty = all ones.
   std::vector<uint8_t> weight_;

@@ -10,9 +10,12 @@
 //
 //  * Stage cells — one cache-line-aligned {nanos, calls} pair per stage,
 //    accumulated with relaxed atomic adds. Leaf stages (sample draws,
-//    dominator-tree passes) record from the engine's parallel workers, so
-//    the cells must be thread-safe; relaxed ordering is enough because
-//    totals are only read after the solve joins its workers.
+//    dominator-tree passes) record from every participant of the
+//    engine's executor loop, so the cells must be thread-safe; relaxed
+//    ordering is enough because totals are only read after the loop
+//    returns. A leaf cell therefore sums time across participants: with
+//    more than one slot, kSampleDraw and kDomTree can exceed the wall
+//    clock of their enclosing span (kPoolBuild, kBlock, ...).
 //  * Span log — a bounded, preallocated array of {stage, depth, begin,
 //    end} records appended by ScopedSpan from the coordinating thread
 //    only (the parallel leaves are far too hot and numerous to log
@@ -44,8 +47,8 @@ namespace vblock::obs {
 enum class SolveStage : uint8_t {
   kUnify = 0,     // seed unification / instance mapping
   kPoolBuild,     // full engine Build (encloses draw + domtree leaves)
-  kSampleDraw,    // per-θ live-edge sample derivation
-  kDomTree,       // Semi-NCA dominator tree + subtree sizes
+  kSampleDraw,    // per-θ live-edge sample derivation (summed over slots)
+  kDomTree,       // Semi-NCA dominator tree + subtree sizes (same)
   kScore,         // Δ re-aggregation over dirty samples
   kSelect,        // greedy candidate scan / best-pick
   kBlock,         // apply a blocker

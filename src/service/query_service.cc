@@ -37,12 +37,8 @@ QueryService::QueryService(GraphRegistry* registry,
     : registry_(registry),
       options_(options),
       cache_(options.cache),
-      // num_threads + 1: ThreadPool reserves one "thread" for a
-      // ParallelFor caller; Submit-style tasks only ever run on the
-      // num_threads() - 1 background workers, and the service needs
-      // options.num_threads of those.
       scheduler_(std::make_unique<ThreadPool>(
-          std::max<uint32_t>(1, options.num_threads) + 1)) {
+          std::max<uint32_t>(1, options.num_threads))) {
   VBLOCK_CHECK_MSG(registry != nullptr, "registry must not be null");
   RegisterMetrics();
 }
@@ -488,9 +484,9 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
     // request); the pointer MUST clear before the engine outlives the
     // request's trace in the cache.
     engine->set_trace(nullptr);
-    // Cached entries must not pin idle OS threads or per-thread scratch;
-    // the engine re-spawns its workers lazily when next needed.
-    engine->ReleaseThreads();
+    // Cached entries must not pin per-slot scratch; the engine grows it
+    // again when next needed.
+    engine->TrimScratch();
     cache_.Release(*pool_key, std::move(entry));
   }
   return result;
@@ -562,7 +558,7 @@ QueryService::MigrationOutcome QueryService::MigrateEpoch(
         static_cast<double>(obs::SolveTrace::NowNanos() - migrate_begin) *
         1e-9);
     stage_calls_[migrate_stage]->Increment();
-    entry->engine->ReleaseThreads();
+    entry->engine->TrimScratch();
 
     PoolCache::Key new_key = key;
     new_key.graph_epoch = to->epoch;

@@ -83,8 +83,10 @@ struct EvalRequest {
 
 /// Service configuration.
 struct ServiceOptions {
-  /// Worker threads executing solves (the service's concurrency). Each
-  /// running solve additionally uses `defaults.threads` sampling threads.
+  /// Requests running at once (the scheduler's worker threads). Their
+  /// θ-loops share the process executor's helpers (common/thread_pool.h)
+  /// rather than spawning threads of their own, so a busy service adds
+  /// only ExecutorWidth() − 1 threads beyond these.
   uint32_t num_threads = 2;
   /// Pending (accepted but not started) computation cap; Submit beyond it
   /// is rejected with ResourceExhausted.
@@ -94,9 +96,14 @@ struct ServiceOptions {
   /// Warm-pool cache byte budget.
   PoolCache::Options cache;
   /// Default solver knobs for fields a request does not override
-  /// (`algorithm` and `budget` are per-request; `threads` parallelizes
-  /// inside one solve and never changes results).
-  SolverOptions defaults;
+  /// (`algorithm` and `budget` are per-request). `threads` caps the
+  /// executor slots of one solve's loops and never changes results; it
+  /// defaults to the executor's width, so a lone request gets every core.
+  SolverOptions defaults = [] {
+    SolverOptions d;
+    d.threads = ExecutorWidth();
+    return d;
+  }();
   /// Slow-query log threshold in milliseconds (0 = disabled). A completed
   /// request whose submit→completion latency reaches the threshold emits
   /// one structured line (`slow_query ms=... graph=... alg=... budget=...

@@ -1,12 +1,20 @@
 // Unit tests for src/common: Status/Result, RNG, string utils, timers,
-// table printer.
+// table printer, the service's task queue and the process executor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <future>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
@@ -14,6 +22,9 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/solver.h"
+#include "gen/generators.h"
+#include "prob/probability_models.h"
 
 namespace vblock {
 namespace {
@@ -259,7 +270,7 @@ TEST(TablePrinterTest, HandlesRaggedRows) {
 // ------------------------------------------------------------ ThreadPool --
 
 TEST(ThreadPoolTest, SubmitRunsEveryTaskOnAWorker) {
-  ThreadPool pool(3);  // 2 background workers
+  ThreadPool pool(2);
   EXPECT_EQ(pool.num_workers(), 2u);
   std::atomic<int> count{0};
   std::promise<void> all_done;
@@ -275,7 +286,7 @@ TEST(ThreadPoolTest, SubmitRunsEveryTaskOnAWorker) {
 }
 
 TEST(ThreadPoolTest, QueueDepthReportsUnstartedTasks) {
-  ThreadPool pool(2);  // one worker
+  ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   std::promise<void> started;
@@ -293,7 +304,7 @@ TEST(ThreadPoolTest, QueueDepthReportsUnstartedTasks) {
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   std::atomic<int> count{0};
   {
-    ThreadPool pool(2);
+    ThreadPool pool(1);
     std::promise<void> gate;
     std::shared_future<void> opened = gate.get_future().share();
     pool.Submit([&, opened] {
@@ -310,7 +321,7 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsInlineWithoutWorkers) {
-  ThreadPool pool(1);
+  ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0u);
   int count = 0;
   pool.Submit([&] { ++count; });  // inline: done when Submit returns
@@ -318,22 +329,139 @@ TEST(ThreadPoolTest, SubmitRunsInlineWithoutWorkers) {
   EXPECT_EQ(pool.QueueDepth(), 0u);
 }
 
-TEST(ThreadPoolTest, ParallelForStillWorksAlongsideSubmit) {
-  ThreadPool pool(4);
-  std::atomic<int> task_count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&] { task_count.fetch_add(1); });
-  }
-  std::vector<uint32_t> touched(100, 0);
-  pool.ParallelFor(100, [&](uint32_t, uint32_t begin, uint32_t end) {
-    for (uint32_t i = begin; i < end; ++i) touched[i] += 1;
+// -------------------------------------------------------------- Executor --
+
+// Runs one ParallelFor over `count` indices and checks its contract: every
+// index covered exactly once, every slot below max_slots, and no slot held
+// by two participants at the same instant. Chunks at every `nest_every`-th
+// index run a nested ParallelFor of their own.
+void CheckedParallelFor(uint32_t count, uint32_t max_slots,
+                        uint32_t nest_every, std::atomic<int>* failures) {
+  std::vector<std::atomic<int>> covered(count);
+  std::vector<std::atomic<int>> holders(max_slots);
+  ParallelFor(count, max_slots, [&](uint32_t slot, uint32_t begin,
+                                    uint32_t end) {
+    if (slot >= max_slots) {
+      failures->fetch_add(1);
+      return;
+    }
+    if (holders[slot].fetch_add(1) != 0) failures->fetch_add(1);
+    for (uint32_t i = begin; i < end; ++i) {
+      covered[i].fetch_add(1);
+      if (nest_every > 0 && i % nest_every == 0) {
+        CheckedParallelFor(40, 3, 0, failures);
+      }
+      std::this_thread::yield();  // widen the window for a slot clash
+    }
+    holders[slot].fetch_sub(1);
   });
-  for (uint32_t v : touched) EXPECT_EQ(v, 1u);
-  // Drain the submitted tasks before the pool dies (assert they all ran).
-  std::promise<void> done;
-  pool.Submit([&] { done.set_value(); });
-  done.get_future().wait();
-  EXPECT_EQ(task_count.load(), 8);
+  for (const std::atomic<int>& c : covered) {
+    if (c.load() != 1) failures->fetch_add(1);
+  }
+}
+
+TEST(ExecutorTest, ConcurrentAndNestedCallsKeepTheContract) {
+  std::atomic<int> failures{0};
+  auto run = std::async(std::launch::async, [&] {
+    std::vector<std::thread> callers;
+    for (uint32_t c = 0; c < 8; ++c) {
+      callers.emplace_back([&, c] {
+        for (int rep = 0; rep < 20; ++rep) {
+          CheckedParallelFor(500 + 37 * c, 2 + c % 5, 50, &failures);
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+  });
+  // Watchdog: a deadlock would hang the callers; fail loudly instead.
+  if (run.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
+    std::fprintf(stderr, "ParallelFor callers still running after 120 s\n");
+    std::abort();
+  }
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// Every index once, from the plain caller and from service-style tasks on
+// a ThreadPool whose workers call ParallelFor themselves.
+TEST(ExecutorTest, ParallelForCoversEveryIndexOnce) {
+  std::atomic<int> task_failures{0};
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 8; ++i) {
+      pool.Submit([&] { CheckedParallelFor(300, 4, 0, &task_failures); });
+    }
+    std::vector<uint32_t> touched(100, 0);
+    ParallelFor(100, 4, [&](uint32_t, uint32_t begin, uint32_t end) {
+      for (uint32_t i = begin; i < end; ++i) touched[i] += 1;
+    });
+    for (uint32_t v : touched) EXPECT_EQ(v, 1u);
+  }  // drains the submitted tasks
+  EXPECT_EQ(task_failures.load(), 0);
+}
+
+TEST(ExecutorTest, ChunkExceptionReachesTheCaller) {
+  EXPECT_THROW(ParallelFor(1000, 4,
+                           [](uint32_t, uint32_t begin, uint32_t end) {
+                             if (begin <= 500 && 500 < end) {
+                               throw std::runtime_error("chunk failed");
+                             }
+                           }),
+               std::runtime_error);
+  std::atomic<int> failures{0};
+  CheckedParallelFor(200, 4, 0, &failures);  // the executor still serves
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ExecutorTest, WidthIsClampedAndInlineCallsStayOnTheCaller) {
+  EXPECT_GE(ExecutorWidth(), 1u);
+  EXPECT_LE(ExecutorWidth(), kMaxExecutorWidth);
+  const std::thread::id caller = std::this_thread::get_id();
+  bool inline_ran = false;
+  ParallelFor(50, 1, [&](uint32_t slot, uint32_t begin, uint32_t end) {
+    inline_ran = slot == 0 && begin == 0 && end == 50 &&
+                 std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(inline_ran);
+}
+
+// Threads of this process, from /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.starts_with("Threads:")) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ExecutorTest, ConcurrentSolvesAddAtMostTheHelpers) {
+  const int before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  const Graph g = WithWeightedCascade(GenerateBarabasiAlbert(2000, 3, 5));
+  SolverOptions options;
+  options.algorithm = Algorithm::kAdvancedGreedy;
+  options.budget = 5;
+  options.theta = 2000;
+  options.threads = 8;
+  constexpr int kSolves = 8;
+  std::atomic<int> running{kSolves};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> solvers;
+  for (int s = 0; s < kSolves; ++s) {
+    solvers.emplace_back([&, s] {
+      const VertexId seed = static_cast<VertexId>(s);
+      if (!SolveImin(g, {seed}, options).ok()) failed.fetch_add(1);
+      running.fetch_sub(1);
+    });
+  }
+  int peak = before;
+  while (running.load() > 0) {
+    peak = std::max(peak, ProcessThreads());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (std::thread& t : solvers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_LE(peak, before + kSolves + static_cast<int>(ExecutorHelpers()));
 }
 
 }  // namespace

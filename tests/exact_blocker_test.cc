@@ -38,6 +38,21 @@ TEST(EvaluatorTest, MonteCarloFallbackWhenTooManyUncertainEdges) {
   EXPECT_LE(spread, 60.0);
 }
 
+// Out-of-range seeds and blockers are programming errors: they abort with a
+// message on both paths instead of reading or writing past the graph.
+TEST(EvaluatorDeathTest, OutOfRangeSeedOrBlockerAborts) {
+  const Graph g = testing::PathGraph(3, 0.5);
+  for (bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "prefer_exact" : "monte-carlo");
+    EvaluationOptions opts;
+    opts.prefer_exact = exact;
+    opts.mc_rounds = 100;
+    EXPECT_DEATH(EvaluateSpread(g, {3}, {}, opts), "seed is not a vertex");
+    EXPECT_DEATH(EvaluateSpread(g, {0}, {3}, opts),
+                 "blocker is not a vertex");
+  }
+}
+
 TEST(ExactSearchTest, Budget1FindsV5) {
   // Example 1: the optimal single blocker is v5.
   Graph g = PaperFigure1Graph();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cascade/triggering.h"
+#include "common/thread_pool.h"
 #include "core/edge_blocking.h"
 #include "core/greedy.h"
 #include "core/spread_decrease.h"
@@ -686,7 +687,7 @@ TEST(SamplePoolEngineTest, RepeatedSolveRestoreCyclesStayFreshAndFlat) {
       EXPECT_EQ(got.delta, want.delta);
       EXPECT_EQ(got.expected_spread, want.expected_spread);
 
-      engine->ReleaseThreads();
+      engine->TrimScratch();
       const uint64_t parked = engine->MemoryUsageBytes();
       if (cycle == 0) {
         parked_after_first = parked;
@@ -764,6 +765,7 @@ TEST(SamplePoolEngineTest, ParkedEngineAccountCoversEveryHeldByte) {
   // a kResample Block exceeds the account's slack.
   Graph g = PathGraph(100000, 0.99);
   g.GroupedView();  // graph-owned, not the engine's: built before the tally
+  ExecutorHelpers();  // process-wide, not the engine's: started before too
   for (SampleReuse reuse : {SampleReuse::kPrune, SampleReuse::kResample}) {
     SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
     const int64_t before = g_live_bytes.load();
@@ -771,25 +773,22 @@ TEST(SamplePoolEngineTest, ParkedEngineAccountCoversEveryHeldByte) {
         g, 0, EngineOptions(64, 3, reuse, /*threads=*/2));
     ASSERT_TRUE(engine.Build());
     // Mid-request: the touched samples' built regions and sizes sit in
-    // the undo slots beside their re-derived ones. The account leaves out
-    // the worker threads' own pool (thread handles, task queue), which a
-    // parked engine never holds, so trim it first.
+    // the undo slots beside their re-derived ones, and both slots'
+    // workers hold their scratch.
     ASSERT_TRUE(engine.Block(1));
     ASSERT_TRUE(engine.Unblock(1));
-    engine.ReleaseThreads();
     int64_t held = g_live_bytes.load() - before;
     ASSERT_GT(held, 0);
     EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
     // Under kResample a Block after an Unblock prunes the current regions,
-    // so the surviving worker also holds the last region it swapped out of
-    // a sample's slot.
+    // so each worker also holds the last region it swapped out of a
+    // sample's slot.
     ASSERT_TRUE(engine.Block(1));
-    engine.ReleaseThreads();
     held = g_live_bytes.load() - before;
     EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));
 
     engine.Restore();
-    engine.ReleaseThreads();  // what the warm-pool cache does before parking
+    engine.TrimScratch();  // what the warm-pool cache does before parking
     held = g_live_bytes.load() - before;
     ASSERT_GT(held, 0);
     EXPECT_GE(engine.MemoryUsageBytes(), static_cast<uint64_t>(held));

@@ -16,7 +16,9 @@
 // bound, so scripts using --tcp 0 (ephemeral port) can discover it.
 //
 // Flags:
-//   --threads N      service worker threads          (default 2)
+//   --threads N      requests solved at once         (default 2); each
+//                    request's θ-loops also use the idle cores of the
+//                    one process-wide executor (no threads per request)
 //   --max-queue N    admission queue bound           (default 256)
 //   --cache-mb N     warm-pool cache budget in MiB   (default 256)
 //   --slow-ms N      slow-query log threshold in ms  (default 0 = off);
