@@ -29,6 +29,10 @@ struct GreedyRunStats {
   /// after the first. Reported separately so warm-vs-cold wins are visible
   /// per-request (`pool_ms=` on the wire).
   double pool_build_seconds = 0;
+  /// Wall-clock seconds spent re-deriving a warm pool that was carried
+  /// across graph updates (core/greedy.h SolveGreedy); 0 when the pool was
+  /// current. Part of `seconds`.
+  double migrate_seconds = 0;
   /// Best Δ chosen in each completed selection round (diagnostics).
   std::vector<double> round_best_delta;
   /// Every blocker commit in chronological order: for BG/AG (and the

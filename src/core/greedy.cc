@@ -1,6 +1,7 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/check.h"
 #include "obs/solve_trace.h"
@@ -220,6 +221,16 @@ SolverResult SolveGreedy(const Graph& g, const std::vector<VertexId>& seeds,
     entry->inst = std::make_unique<UnifiedInstance>(UnifySeeds(g, seeds));
   }
   const UnifiedInstance& inst = *entry->inst;
+  double migrate_seconds = 0;
+  if (entry->engine != nullptr && entry->lagging()) {
+    Timer migrate_timer;
+    entry->engine->set_trace(trace);
+    entry->engine->MigrateGraph(entry->pending_out, entry->pending_in);
+    entry->pending_out = {};
+    entry->pending_in = {};
+    migrate_seconds = migrate_timer.ElapsedSeconds();
+  }
+  VBLOCK_CHECK_MSG(!entry->lagging(), "a lagging pool must not be scored");
 
   GreedyOptions greedy;
   greedy.budget = options.budget;
@@ -239,8 +250,23 @@ SolverResult SolveGreedy(const Graph& g, const std::vector<VertexId>& seeds,
   result.stats = std::move(sel.stats);
   result.stats.selection_trace =
       inst.BlockersToOriginal(result.stats.selection_trace);
+  result.stats.migrate_seconds = migrate_seconds;
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
+}
+
+void WarmEntry::AddPendingRows(std::span<const VertexId> changed_out,
+                               std::span<const VertexId> changed_in) {
+  auto fold = [](std::span<const VertexId> rows,
+                 std::vector<VertexId>* pending) {
+    std::vector<VertexId> merged;
+    merged.reserve(pending->size() + rows.size());
+    std::set_union(pending->begin(), pending->end(), rows.begin(),
+                   rows.end(), std::back_inserter(merged));
+    *pending = std::move(merged);
+  };
+  fold(changed_out, &pending_out);
+  fold(changed_in, &pending_in);
 }
 
 }  // namespace vblock

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/timer.h"
@@ -113,9 +114,26 @@ BlockerSelection GreedyReplaceWithEngine(SpreadDecreaseEngine* engine,
 struct WarmEntry {
   std::unique_ptr<UnifiedInstance> inst;
   std::unique_ptr<SpreadDecreaseEngine> engine;
+  /// Rows (unified ids, sorted ascending) whose out- or in-edges changed
+  /// since the engine's samples were last derived: the union of the
+  /// ComputeChangedRows diffs of every graph update the entry was carried
+  /// across (QueryService::MigrateEpoch swaps inst->graph forward and
+  /// folds the diff in here). While either is non-empty the samples lag
+  /// inst->graph; SolveGreedy re-derives them before anything scores
+  /// them.
+  std::vector<VertexId> pending_out;
+  std::vector<VertexId> pending_in;
   /// Byte account at last cache insertion (engine + unified graph,
-  /// including its grouped view once the skip sampler has built one).
+  /// including its grouped view once the skip sampler has built one, and
+  /// the pending rows).
   uint64_t bytes = 0;
+
+  bool lagging() const { return !pending_out.empty() || !pending_in.empty(); }
+
+  /// Folds one update's changed rows (sorted ascending) into the pending
+  /// union.
+  void AddPendingRows(std::span<const VertexId> changed_out,
+                      std::span<const VertexId> changed_in);
 
   /// Recomputes `bytes` from the current engine/instance state.
   void AccountBytes() {
@@ -126,6 +144,8 @@ struct WarmEntry {
                (inst->to_original.capacity() + inst->to_unified.capacity()) *
                    sizeof(VertexId);
     }
+    bytes += (pending_out.capacity() + pending_in.capacity()) *
+             sizeof(VertexId);
   }
 };
 
@@ -134,6 +154,10 @@ struct WarmEntry {
 /// under a kUnify span, and a built engine for options' sampling knobs,
 /// timed into stats.pool_build_seconds. A present engine must be at rest
 /// (built, mask all-clear, not timed out) and built for the same knobs.
+/// A lagging entry is brought current first: MigrateGraph over its
+/// pending rows, under a kMigrate span, deadline-free (its work is
+/// bounded by θ, and an entry is never left half-migrated; `deadline`
+/// still counts the time), timed into stats.migrate_seconds.
 /// Zero budgets, and GR on a sink super-seed, return the empty answer
 /// without building. A build that hits `deadline` returns an empty
 /// timed_out result and leaves the timed-out engine in the entry. The

@@ -111,7 +111,10 @@ class SpreadDecreaseEngine {
   /// root — the engine and pool hold references, so the swap is invisible
   /// until this call) and installed/invalidated its grouped view. The
   /// changed-row spans come from ComputeChangedRows in this engine's
-  /// (unified) id space. Every worker's sampler scratch is rebuilt first —
+  /// (unified) id space — or are the sorted union of the diffs of several
+  /// consecutive updates (WarmEntry::pending_out/pending_in): a sample
+  /// that read no row of the union already equals a cold draw on the
+  /// newest graph. Every worker's sampler scratch is rebuilt first —
   /// samplers capture a pointer to the *old* grouped view at construction
   /// — then the samples whose draws read a changed row (a region vertex's
   /// out-row; under a triggering model also the in-row of each vertex a

@@ -54,7 +54,9 @@ enum class SolveStage : uint8_t {
   kBlock,         // apply a blocker
   kUnblock,       // phase-2 GR unblock
   kRestore,       // engine restore to fresh-Build state
-  kMigrate,       // epoch migration re-derive
+  kMigrate,       // re-derive of a pool carried across UPDATEs, at the
+                  // first checkout after them (untraced ones still reach
+                  // the service's migrate cells via stats.migrate_seconds)
 };
 
 inline constexpr uint32_t kNumSolveStages = 10;

@@ -40,10 +40,15 @@ std::unique_ptr<WarmEntry> PoolCache::Acquire(const Key& key) {
   return entry;
 }
 
-void PoolCache::Release(const Key& key, std::unique_ptr<WarmEntry> entry) {
-  if (!entry) return;
+bool PoolCache::Release(const Key& key, std::unique_ptr<WarmEntry> entry,
+                        const std::function<bool()>& current) {
+  if (!entry) return false;
   entry->AccountBytes();
   std::lock_guard<std::mutex> lock(mutex_);
+  if (current && !current()) {
+    ++stats_.evicted_stale;
+    return false;
+  }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // A concurrent cold build beat us to the slot; keep exactly one copy
@@ -59,6 +64,7 @@ void PoolCache::Release(const Key& key, std::unique_ptr<WarmEntry> entry) {
   ++stats_.entries;
   entries_.emplace(key, std::move(slot));
   EvictOverBudgetLocked();
+  return true;
 }
 
 void PoolCache::EvictLocked(std::map<Key, Slot>::iterator it) {

@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -76,9 +77,10 @@ class PoolCache {
   /// Acquire outcomes; evictions counts LRU drops (budget pressure,
   /// EvictGraph, EvictAll), not Acquire checkouts; migrations counts
   /// entries checked out by TakeEpoch for epoch migration; evicted_stale
-  /// is the stale-epoch subset — EvictGraph drops (also in evictions) and
+  /// is the stale-epoch subset — EvictGraph drops (also in evictions),
   /// migrated-out entries that could not be carried forward
-  /// (CountStaleDrop; already in migrations). Ledger invariant at
+  /// (CountStaleDrop; already in migrations) and check-ins refused under a
+  /// displaced epoch (Release; never in the map). Ledger invariant at
   /// quiescence (no entry checked out):
   /// entries == inserts − hits − evictions − migrations —
   /// every departure from the map is counted exactly once (warm checkouts
@@ -115,7 +117,18 @@ class PoolCache {
   /// holds. A null entry is ignored. If the slot was refilled in the
   /// meantime (two concurrent cold builds of one key), the incumbent is
   /// replaced — the entries are interchangeable by construction.
-  void Release(const Key& key, std::unique_ptr<WarmEntry> entry);
+  ///
+  /// `current` (optional) says whether key.graph_epoch is still the
+  /// installed epoch of its graph, and is called under the cache's lock.
+  /// When it returns false no request can hit the entry again (an UPDATE,
+  /// a replacing LOAD or EVICT GRAPH displaced the epoch while the entry
+  /// was checked out), so the entry is dropped and counted under
+  /// evicted_stale instead; it never entered the ledger. The registry
+  /// publishes a successor before its sweep (TakeEpoch, EvictGraph) takes
+  /// this lock, so an entry checked in under a live epoch is always seen
+  /// by that epoch's sweep. Returns whether the entry was checked in.
+  bool Release(const Key& key, std::unique_ptr<WarmEntry> entry,
+               const std::function<bool()>& current = {});
 
   /// Drops every entry keyed to `graph_epoch` (a removed or replaced
   /// registry graph). Counted as evictions AND evicted_stale; returns how
@@ -126,8 +139,9 @@ class PoolCache {
   /// sweep — the epoch-migration path (query_service.h MigrateEpoch).
   /// Ownership transfers to the caller exactly as with Acquire, but the
   /// departures are counted under `migrations` (not hits or evictions):
-  /// the caller re-derives each entry against the successor epoch and
-  /// Releases it under its new key, or drops it and calls CountStaleDrop.
+  /// the caller swaps each entry's graph to the successor epoch and
+  /// Releases it under its new key (its samples are re-derived at the next
+  /// checkout), or drops it and calls CountStaleDrop.
   std::vector<std::pair<Key, std::unique_ptr<WarmEntry>>> TakeEpoch(
       uint64_t graph_epoch);
 

@@ -35,8 +35,10 @@
 // UPDATE applies a GraphDelta to a registered graph (docs/DESIGN.md §11):
 // edge groups are ';'-separated, fields within a group ','-separated with
 // no spaces. The mutated graph is installed under a fresh epoch and the
-// old epoch's warm pools are migrated forward (QueryService::MigrateEpoch)
-// — the response reports how many were carried vs dropped. A replacing
+// old epoch's warm pools are carried forward (QueryService::MigrateEpoch:
+// graph swapped, changed rows recorded; the first SOLVE that checks a
+// pool out re-derives its samples, and its TRACE shows stage=migrate) —
+// the response reports how many were carried vs dropped. A replacing
 // LOAD and EVICT GRAPH instead evict the displaced epoch's pools outright
 // (the replace→evict contract of service/graph_registry.h).
 //

@@ -357,6 +357,12 @@ void QueryService::Execute(const std::shared_ptr<Computation>& comp) {
         stage_seconds_[i]->Add(static_cast<double>(t.nanos) * 1e-9);
         stage_calls_[i]->Increment(t.calls);
       }
+    } else if (r.stats.migrate_seconds > 0) {
+      // A checkout migration is write-path work deferred onto this
+      // request; the migrate cells count every one, traced or not.
+      const auto i = static_cast<uint32_t>(obs::SolveStage::kMigrate);
+      stage_seconds_[i]->Add(r.stats.migrate_seconds);
+      stage_calls_[i]->Increment();
     }
   }
 
@@ -476,7 +482,8 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
   // run touched and cannot fail. An entry without an engine (GR on a sink
   // seed, cold) is not cached. A deadline latch mid-build or mid-run
   // poisons the engine (partial update); such entries are dropped rather
-  // than cached.
+  // than cached. So is an entry whose epoch an UPDATE displaced while this
+  // request ran: no request could hit it again.
   SpreadDecreaseEngine* const engine = entry->engine.get();
   if (engine != nullptr && !engine->timed_out()) {
     engine->Restore();
@@ -487,83 +494,113 @@ Result<SolverResult> QueryService::Compute(const Computation& comp) {
     // Cached entries must not pin per-slot scratch; the engine grows it
     // again when next needed.
     engine->TrimScratch();
-    cache_.Release(*pool_key, std::move(entry));
+    CheckIn(comp.snapshot->name, *pool_key, std::move(entry));
   }
   return result;
 }
 
+bool QueryService::CheckIn(const std::string& graph,
+                           const PoolCache::Key& key,
+                           std::unique_ptr<WarmEntry> entry) {
+  return cache_.Release(key, std::move(entry), [&] {
+    Result<GraphRegistry::SnapshotPtr> installed = registry_->Get(graph);
+    return installed.ok() && (*installed)->epoch == key.graph_epoch;
+  });
+}
+
+namespace {
+
+// The UPDATE's share of carrying one warm entry to `to`, the graph that
+// replaced the entry's epoch: the checks that decide whether it can be
+// carried, and the in-place swap of its unified graph. Re-deriving the
+// samples waits for the entry's next checkout (SolveGreedy); the changed
+// rows wait in the entry. Returns false when the entry must be dropped.
+bool CarryForward(const Graph& to, const QueryKey& query, WarmEntry* entry) {
+  if (!entry->inst || !entry->engine || entry->engine->timed_out()) {
+    return false;
+  }
+  UnifiedInstance& inst = *entry->inst;
+
+  // Re-unify against the mutated graph. The warm pool is only valid if
+  // the unified id space is bit-identical to the old one: same vertex
+  // count (the delta added no vertex the super-seed construction keeps)
+  // and same root slot. Otherwise every sample's vertex ids would be
+  // misinterpreted — drop, rebuild cold. The id maps are a function of
+  // the vertex count and the seed set alone, so they then agree too.
+  UnifiedInstance fresh = UnifySeeds(to, query.seeds);
+  if (fresh.graph.NumVertices() != inst.graph.NumVertices() ||
+      fresh.root != inst.root) {
+    return false;
+  }
+  VBLOCK_DCHECK(fresh.to_original == inst.to_original);
+
+  std::vector<VertexId> changed_out, changed_in;
+  ComputeChangedRows(inst.graph, fresh.graph, &changed_out, &changed_in);
+
+  // The skip samplers read the grouped adjacency; patch the old unified
+  // view forward so unchanged rows keep their analyzed runs. When the
+  // class table is unstable (DeltaPatched returns nullptr) the entry
+  // CANNOT be carried: a vertex's grouped edge order is its row sorted
+  // by *global* class id, so a reordered class table permutes even
+  // untouched vertices' grouped adjacency — a cold build on the mutated
+  // graph would then map the same RNG stream onto different edges, and
+  // the kept unaffected samples would no longer match it bit-for-bit
+  // (tests/dynamic_graph_test.cc pins this drop). Per-edge-coin pools
+  // never consult the view and migrate regardless.
+  if (query.sampler_kind != SamplerKind::kPerEdgeCoin) {
+    auto patched = ProbGroupedView::DeltaPatched(
+        inst.graph.GroupedView(), fresh.graph, changed_out, changed_in);
+    if (patched == nullptr) return false;
+    fresh.graph.InstallGroupedView(std::move(patched));
+  }
+
+  // In-place content swap: the engine and its pool hold references to
+  // inst.graph, so the Graph object must keep its address — only its
+  // CSR arrays (and grouped-view slot) move. The swap frees the view the
+  // parked engine's samplers were bound to; rebind them.
+  inst.graph = std::move(fresh.graph);
+  entry->engine->TrimScratch();
+  // A sample that read no row of the union already equals a cold draw on
+  // the newest graph, however many updates it lagged.
+  entry->AddPendingRows(changed_out, changed_in);
+  return true;
+}
+
+}  // namespace
+
 QueryService::MigrationOutcome QueryService::MigrateEpoch(
     const GraphRegistry::SnapshotPtr& to,
     const GraphRegistry::SnapshotPtr& from) {
-  MigrationOutcome outcome;
-  const auto migrate_stage = static_cast<uint32_t>(obs::SolveStage::kMigrate);
   auto taken = cache_.TakeEpoch(from->epoch);
+  // The entries are independent: carry them as one executor loop. An
+  // entry that cannot be carried is freed in the loop and counted below.
+  ParallelFor(static_cast<uint32_t>(taken.size()), options_.defaults.threads,
+              [&](uint32_t, uint32_t begin, uint32_t end) {
+                for (uint32_t i = begin; i < end; ++i) {
+                  auto& [key, entry] = taken[i];
+                  if (entry && !CarryForward(to->graph, key.query,
+                                             entry.get())) {
+                    entry.reset();
+                  }
+                }
+              });
+  // Check-ins run in key order, so the LRU order (and any eviction the
+  // byte budget forces) does not depend on scheduling. A later UPDATE
+  // that already displaced `to` turns a check-in into a drop.
+  MigrationOutcome outcome;
   for (auto& [key, entry] : taken) {
-    if (!entry || !entry->inst || !entry->engine ||
-        entry->engine->timed_out()) {
+    if (entry == nullptr) {
       cache_.CountStaleDrop();
       ++outcome.dropped;
       continue;
     }
-    UnifiedInstance& inst = *entry->inst;
-
-    // Re-unify against the mutated graph. The warm pool is only valid if
-    // the unified id space is bit-identical to the old one: same vertex
-    // count (the delta added no vertex the super-seed construction keeps)
-    // and same root slot. Otherwise every sample's vertex ids would be
-    // misinterpreted — drop, rebuild cold. The id maps are a function of
-    // the vertex count and the seed set alone, so they then agree too.
-    UnifiedInstance fresh = UnifySeeds(to->graph, key.query.seeds);
-    if (fresh.graph.NumVertices() != inst.graph.NumVertices() ||
-        fresh.root != inst.root) {
-      cache_.CountStaleDrop();
-      ++outcome.dropped;
-      continue;
-    }
-    VBLOCK_DCHECK(fresh.to_original == inst.to_original);
-
-    std::vector<VertexId> changed_out, changed_in;
-    ComputeChangedRows(inst.graph, fresh.graph, &changed_out, &changed_in);
-
-    // The skip samplers read the grouped adjacency; patch the old unified
-    // view forward so unchanged rows keep their analyzed runs. When the
-    // class table is unstable (DeltaPatched returns nullptr) the entry
-    // CANNOT be carried: a vertex's grouped edge order is its row sorted
-    // by *global* class id, so a reordered class table permutes even
-    // untouched vertices' grouped adjacency — a cold build on the mutated
-    // graph would then map the same RNG stream onto different edges, and
-    // the kept unaffected samples would no longer match it bit-for-bit
-    // (tests/dynamic_graph_test.cc pins this drop). Per-edge-coin pools
-    // never consult the view and migrate regardless.
-    if (key.query.sampler_kind != SamplerKind::kPerEdgeCoin) {
-      auto patched = ProbGroupedView::DeltaPatched(
-          inst.graph.GroupedView(), fresh.graph, changed_out, changed_in);
-      if (patched == nullptr) {
-        cache_.CountStaleDrop();
-        ++outcome.dropped;
-        continue;
-      }
-      fresh.graph.InstallGroupedView(std::move(patched));
-    }
-
-    // In-place content swap: the engine and its pool hold references to
-    // inst.graph, so the Graph object must keep its address — only its
-    // CSR arrays (and grouped-view slot) move.
-    inst.graph = std::move(fresh.graph);
-    // Migration runs outside any request, so its cost folds straight into
-    // the service-lifetime stage cells (no per-request trace to carry it).
-    const uint64_t migrate_begin = obs::SolveTrace::NowNanos();
-    entry->engine->MigrateGraph(changed_out, changed_in);
-    stage_seconds_[migrate_stage]->Add(
-        static_cast<double>(obs::SolveTrace::NowNanos() - migrate_begin) *
-        1e-9);
-    stage_calls_[migrate_stage]->Increment();
-    entry->engine->TrimScratch();
-
     PoolCache::Key new_key = key;
     new_key.graph_epoch = to->epoch;
-    cache_.Release(new_key, std::move(entry));
-    ++outcome.migrated;
+    if (CheckIn(to->name, new_key, std::move(entry))) {
+      ++outcome.migrated;
+    } else {
+      ++outcome.dropped;
+    }
   }
   return outcome;
 }

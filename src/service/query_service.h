@@ -163,30 +163,34 @@ class QueryService {
 
   /// What MigrateEpoch did with the displaced epoch's warm entries.
   struct MigrationOutcome {
-    /// Entries carried forward: re-keyed to the new epoch with their pools
-    /// incrementally re-derived (only samples touching changed rows).
+    /// Entries carried forward: re-keyed to the new epoch with their
+    /// unified graph swapped in place and the changed rows recorded; the
+    /// next checkout re-derives the samples that read one.
     uint64_t migrated = 0;
     /// Entries that could not be carried (vertex count grew, grouped-view
-    /// class table destabilized, engine poisoned) and were dropped; the
-    /// next query for their key rebuilds cold.
+    /// class table destabilized, engine poisoned, `to` itself already
+    /// displaced) and were dropped; the next query for their key rebuilds
+    /// cold.
     uint64_t dropped = 0;
   };
 
   /// Epoch migration (docs/DESIGN.md §11): carries the warm pools keyed to
   /// `from` forward to `to`, where `to` is the registry snapshot that
-  /// replaced `from` via GraphRegistry::Apply. For each warm entry the
-  /// seeds are re-unified against the mutated graph; when the unified id
-  /// space is unchanged (same vertex count and root) the entry's unified
-  /// graph is swapped in place — the engine and pool hold references, so
-  /// addresses must not move — its grouped view is
-  /// delta-patched, and exactly the samples whose live-edge worlds touch
-  /// changed rows are re-drawn (SpreadDecreaseEngine::MigrateGraph). The
-  /// migrated engine is bit-identical to one cold-built on the mutated
-  /// graph (tests/dynamic_graph_test.cc proves this differentially), so
-  /// the determinism contract survives updates. Entries whose unified
-  /// space shifted are dropped (counted under
-  /// pool_cache().stats().evicted_stale) and rebuild cold on next use.
-  /// Thread-safe; call after Apply has published `to`.
+  /// replaced `from` via GraphRegistry::Apply. For each warm entry, as one
+  /// executor loop, the seeds are re-unified against the mutated graph;
+  /// when the unified id space is unchanged (same vertex count and root)
+  /// the entry's grouped view is delta-patched, its unified graph is
+  /// swapped in place — the engine and pool hold references, so addresses
+  /// must not move — and the changed rows join the entry's pending union
+  /// (WarmEntry::pending_out/pending_in). No sample is re-drawn here: the
+  /// first SOLVE that checks the entry out re-derives exactly the samples
+  /// whose draws read a pending row (SolveGreedy → MigrateGraph), leaving
+  /// the engine bit-identical to one cold-built on the newest graph
+  /// however many updates it lagged (tests/dynamic_graph_test.cc and
+  /// tests/service_test.cc prove this differentially), so the determinism
+  /// contract survives updates. Entries that cannot be carried are dropped
+  /// (counted under pool_cache().stats().evicted_stale) and rebuild cold
+  /// on next use. Thread-safe; call after Apply has published `to`.
   MigrationOutcome MigrateEpoch(const GraphRegistry::SnapshotPtr& to,
                                 const GraphRegistry::SnapshotPtr& from);
 
@@ -260,6 +264,12 @@ class QueryService {
 
   void Execute(const std::shared_ptr<Computation>& comp);
   Result<SolverResult> Compute(const Computation& comp);
+
+  // Checks `entry` into the cache under `key` unless `graph` no longer has
+  // key.graph_epoch installed, in which case it is dropped as stale.
+  // Returns whether it was checked in.
+  bool CheckIn(const std::string& graph, const PoolCache::Key& key,
+               std::unique_ptr<WarmEntry> entry);
 
   // Registers every metric the service exports — called once from the
   // constructor so the METRICS name set is fixed at construction (the

@@ -93,6 +93,30 @@ void ExpectSameResult(const SolverResult& got, const SolverResult& want) {
   }
 }
 
+// The pool cache's ledger at quiescence: every departure from the map is
+// counted exactly once — warm checkouts under `hits`, drops under
+// `evictions`, epoch sweeps under `migrations` — and every arrival under
+// `inserts` (a checked-out entry that comes back counts again).
+void ExpectLedger(QueryService& service, const std::string& where) {
+  const PoolCache::Stats s = service.pool_cache().stats();
+  EXPECT_EQ(s.entries, s.inserts - s.hits - s.evictions - s.migrations)
+      << where;
+}
+
+// The standalone cold answer for `request` on `g`: what every warm,
+// migrated or lagging pool must reproduce bit for bit.
+SolverResult Standalone(const Graph& g, const IminRequest& request) {
+  SolverOptions options =
+      ResolveSolverOptions(request.query, FastOptions().defaults);
+  Result<SolverResult> want = SolveImin(g, request.query.seeds, options);
+  EXPECT_TRUE(want.ok());
+  return want.ok() ? *want : SolverResult{};
+}
+
+double MigrateCalls(const QueryService& service) {
+  return Cell(service, "vblock_solve_stage_calls_total{stage=\"migrate\"}");
+}
+
 // ---------------------------------------------------------- GraphRegistry --
 
 TEST(GraphRegistryTest, AddGetRemoveRoundTrip) {
@@ -388,7 +412,10 @@ TEST(QueryServiceTest, EvictGraphDropsOnlyThatEpoch) {
 // an earlier edge, and neither endpoint is a seed (seed rows are rewritten
 // or dropped by UnifySeeds, so seed-incident edges sit outside — or at the
 // end of — the unified interning scan).
-GraphDelta StableProbSwap(const Graph& g, const std::vector<VertexId>& seeds) {
+// `skip` passes over that many eligible edges first, so successive calls
+// can touch different rows.
+GraphDelta StableProbSwap(const Graph& g, const std::vector<VertexId>& seeds,
+                          uint32_t skip = 0) {
   const std::vector<Edge> edges = g.CollectEdges();
   auto is_seed_edge = [&](const Edge& e) {
     return std::find(seeds.begin(), seeds.end(), e.source) != seeds.end() ||
@@ -401,6 +428,10 @@ GraphDelta StableProbSwap(const Graph& g, const std::vector<VertexId>& seeds) {
   for (size_t i = edges.size(); i-- > 1;) {
     const Edge& e = edges[i];
     if (is_seed_edge(e) || first_pos[e.probability] == i) continue;
+    if (skip > 0) {
+      --skip;
+      continue;
+    }
     for (size_t j = 0; j < i; ++j) {
       const Edge& o = edges[j];
       if (is_seed_edge(o) || o.probability == e.probability ||
@@ -550,21 +581,12 @@ TEST(QueryServiceTest, PoolLedgerBalancesAcrossMigrationsAndEvictions) {
   auto before = registry.Add("g", TestGraph());
   QueryService service(&registry, FastOptions());
 
-  // Every departure from the cache map is counted exactly once — warm
-  // checkouts under `hits`, stale drops under `evictions`, epoch sweeps
-  // under `migrations` — and every arrival under `inserts` (a checked-out
-  // entry that comes back counts again). At quiescence the books balance.
-  auto expect_ledger = [&](const char* where) {
-    const PoolCache::Stats s = service.pool_cache().stats();
-    EXPECT_EQ(s.entries, s.inserts - s.hits - s.evictions - s.migrations)
-        << where;
-  };
 
   IminRequest request = MakeRequest({5, 12}, 3, Algorithm::kAdvancedGreedy);
   request.query.sampler_kind = SamplerKind::kPerEdgeCoin;
   ASSERT_TRUE(service.SubmitAndWait(request).ok());
   ASSERT_TRUE(service.SubmitAndWait(request).ok());  // warm round trip
-  expect_ledger("after solves");
+  ExpectLedger(service, "after solves");
 
   // Stable migration: the entry leaves under `migrations` and returns
   // under a fresh `inserts`.
@@ -572,7 +594,7 @@ TEST(QueryServiceTest, PoolLedgerBalancesAcrossMigrationsAndEvictions) {
   Result<GraphRegistry::ApplyOutcome> applied = registry.Apply("g", stable);
   ASSERT_TRUE(applied.ok());
   service.MigrateEpoch(applied->snapshot, applied->previous);
-  expect_ledger("after stable migration");
+  ExpectLedger(service, "after stable migration");
 
   // Unstable migration of a grouped pool: leaves under `migrations`, never
   // comes back (CountStaleDrop is informational only).
@@ -586,15 +608,186 @@ TEST(QueryServiceTest, PoolLedgerBalancesAcrossMigrationsAndEvictions) {
       registry.Apply("g", unstable);
   ASSERT_TRUE(applied2.ok());
   service.MigrateEpoch(applied2->snapshot, applied2->previous);
-  expect_ledger("after unstable migration");
+  ExpectLedger(service, "after unstable migration");
 
   // Stale-epoch eviction and full eviction land under `evictions`.
   ASSERT_TRUE(service.SubmitAndWait(request).ok());
   service.pool_cache().EvictGraph(applied2->snapshot->epoch);
-  expect_ledger("after EvictGraph");
+  ExpectLedger(service, "after EvictGraph");
   service.pool_cache().EvictAll();
-  expect_ledger("after EvictAll");
+  ExpectLedger(service, "after EvictAll");
   EXPECT_EQ(service.pool_cache().stats().entries, 0u);
+}
+
+// An UPDATE only swaps the graph and records the changed rows; a pool that
+// nobody checks out across three UPDATEs is re-derived once, over the
+// union of all three diffs, and then equals a cold build on the newest
+// graph. The migration is counted once, although the SOLVE is untraced.
+TEST(QueryServiceTest, PoolParkedAcrossUpdatesMigratesOnceToAColdBuild) {
+  GraphRegistry registry;
+  auto snapshot = registry.Add("g", TestGraph());
+  QueryService service(&registry, FastOptions());
+  const std::vector<VertexId> seeds = {5, 12};
+  for (SamplerKind kind :
+       {SamplerKind::kGeometricSkip, SamplerKind::kPerEdgeCoin}) {
+    IminRequest request = MakeRequest(seeds, 4, Algorithm::kGreedyReplace,
+                                      SampleReuse::kResample);
+    request.query.sampler_kind = kind;
+    ASSERT_TRUE(service.SubmitAndWait(request).ok());
+  }
+  const double calls_before = MigrateCalls(service);
+
+  for (uint32_t u = 0; u < 3; ++u) {
+    Result<GraphRegistry::ApplyOutcome> applied =
+        registry.Apply("g", StableProbSwap(snapshot->graph, seeds, 7 * u));
+    ASSERT_TRUE(applied.ok());
+    const QueryService::MigrationOutcome outcome =
+        service.MigrateEpoch(applied->snapshot, applied->previous);
+    EXPECT_EQ(outcome.migrated, 2u) << "update " << u;
+    EXPECT_EQ(outcome.dropped, 0u) << "update " << u;
+    ExpectLedger(service, "after update " + std::to_string(u));
+    snapshot = applied->snapshot;
+  }
+  EXPECT_EQ(MigrateCalls(service), calls_before);  // nothing re-derived yet
+
+  for (SamplerKind kind :
+       {SamplerKind::kGeometricSkip, SamplerKind::kPerEdgeCoin}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    IminRequest request = MakeRequest(seeds, 4, Algorithm::kGreedyReplace,
+                                      SampleReuse::kResample);
+    request.query.sampler_kind = kind;
+    const SolverResult want = Standalone(snapshot->graph, request);
+    for (int checkout = 0; checkout < 2; ++checkout) {
+      Result<SolverResult> got = service.SubmitAndWait(request);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->pool, PoolOutcome::kWarm);
+      EXPECT_EQ(got->stats.migrate_seconds > 0, checkout == 0);
+      ExpectSameResult(*got, want);
+    }
+  }
+  EXPECT_EQ(MigrateCalls(service), calls_before + 2);
+  EXPECT_GT(Cell(service, "vblock_solve_stage_seconds_total{stage=\"migrate\"}"),
+            0);
+  ExpectLedger(service, "after the checkouts");
+}
+
+// A pool that lags one carried UPDATE and then meets one that
+// destabilizes the grouped view's class table is dropped, counted, and
+// rebuilds cold on the newest graph.
+TEST(QueryServiceTest, LaggingPoolDestabilizedLaterIsDroppedAndCounted) {
+  GraphRegistry registry;
+  auto snapshot = registry.Add("g", TestGraph());
+  QueryService service(&registry, FastOptions());
+  const std::vector<VertexId> seeds = {5, 12};
+  const IminRequest request = MakeRequest(seeds, 4, Algorithm::kAdvancedGreedy);
+  ASSERT_TRUE(service.SubmitAndWait(request).ok());
+
+  Result<GraphRegistry::ApplyOutcome> stable =
+      registry.Apply("g", StableProbSwap(snapshot->graph, seeds));
+  ASSERT_TRUE(stable.ok());
+  QueryService::MigrationOutcome outcome =
+      service.MigrateEpoch(stable->snapshot, stable->previous);
+  EXPECT_EQ(outcome.migrated, 1u);
+
+  GraphDelta unstable;
+  const Edge e = FirstNonSeedEdge(stable->snapshot->graph, seeds);
+  unstable.update_probabilities.push_back({e.source, e.target, 0.123456789});
+  Result<GraphRegistry::ApplyOutcome> applied = registry.Apply("g", unstable);
+  ASSERT_TRUE(applied.ok());
+  outcome = service.MigrateEpoch(applied->snapshot, applied->previous);
+  EXPECT_EQ(outcome.migrated, 0u);
+  EXPECT_EQ(outcome.dropped, 1u);
+  PoolCache::Stats stats = service.pool_cache().stats();
+  EXPECT_EQ(stats.evicted_stale, 1u);
+  EXPECT_EQ(stats.entries, 0u);
+  ExpectLedger(service, "after the drop");
+
+  Result<SolverResult> got = service.SubmitAndWait(request);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->pool, PoolOutcome::kCold);
+  EXPECT_EQ(got->stats.migrate_seconds, 0);
+  ExpectSameResult(*got, Standalone(applied->snapshot->graph, request));
+}
+
+// The checkout migration ignores the request's deadline, so a SOLVE whose
+// deadline has passed by the time the migration ends still leaves a whole
+// migrated entry in the cache: the ledger balances and the next SOLVE is
+// a warm, bit-exact hit that migrates nothing.
+TEST(QueryServiceTest, DeadlineExpiringAtTheMigrationLeavesAWholeEntry) {
+  GraphRegistry registry;
+  auto snapshot = registry.Add("g", TestGraph());
+  QueryService service(&registry, FastOptions());
+  const std::vector<VertexId> seeds = {5, 12};
+  IminRequest request = MakeRequest(seeds, 4, Algorithm::kAdvancedGreedy);
+  ASSERT_TRUE(service.SubmitAndWait(request).ok());
+
+  Result<GraphRegistry::ApplyOutcome> applied =
+      registry.Apply("g", StableProbSwap(snapshot->graph, seeds));
+  ASSERT_TRUE(applied.ok());
+  ASSERT_EQ(service.MigrateEpoch(applied->snapshot, applied->previous)
+                .migrated,
+            1u);
+  const double calls_before = MigrateCalls(service);
+
+  IminRequest hurried = request;
+  hurried.query.time_limit_seconds = 1e-9;  // expired once migrated
+  Result<SolverResult> late = service.SubmitAndWait(hurried);
+  ASSERT_TRUE(late.ok());
+  EXPECT_TRUE(late->stats.timed_out);
+  EXPECT_TRUE(late->blockers.empty());
+  EXPECT_GT(late->stats.migrate_seconds, 0);
+  EXPECT_EQ(service.pool_cache().stats().entries, 1u);
+  ExpectLedger(service, "after the late SOLVE");
+
+  Result<SolverResult> next = service.SubmitAndWait(request);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->pool, PoolOutcome::kWarm);
+  EXPECT_EQ(next->stats.migrate_seconds, 0);
+  ExpectSameResult(*next, Standalone(applied->snapshot->graph, request));
+  EXPECT_EQ(MigrateCalls(service), calls_before + 1);
+  ExpectLedger(service, "after the next SOLVE");
+}
+
+// A SOLVE admitted before an UPDATE runs against the displaced epoch. Its
+// entry must not be checked back in under that epoch, where no request
+// could ever hit it: it is dropped and counted as stale.
+TEST(QueryServiceTest, SolveFinishingAfterAnUpdateDropsItsStaleEntry) {
+  GraphRegistry registry;
+  auto snapshot = registry.Add("g", TestGraph());
+  QueryService service(&registry, FastOptions(/*num_threads=*/1));
+  const std::vector<VertexId> seeds = {5, 12};
+  const IminRequest request = MakeRequest(seeds, 4, Algorithm::kAdvancedGreedy);
+  ASSERT_TRUE(service.SubmitAndWait(request).ok());
+
+  // Park the only worker, queue a SOLVE against the current epoch, then
+  // update the graph under it.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  service.scheduler().Submit([opened] { opened.wait(); });
+  std::future<Result<SolverResult>> queued = service.Submit(request);
+  Result<GraphRegistry::ApplyOutcome> applied =
+      registry.Apply("g", StableProbSwap(snapshot->graph, seeds));
+  ASSERT_TRUE(applied.ok());
+  ASSERT_EQ(service.MigrateEpoch(applied->snapshot, applied->previous)
+                .migrated,
+            1u);
+  gate.set_value();
+  Result<SolverResult> old_epoch = queued.get();
+  ASSERT_TRUE(old_epoch.ok());
+  EXPECT_EQ(old_epoch->pool, PoolOutcome::kCold);
+  ExpectSameResult(*old_epoch, Standalone(snapshot->graph, request));
+
+  PoolCache::Stats stats = service.pool_cache().stats();
+  EXPECT_EQ(stats.entries, 1u);  // the migrated entry only
+  EXPECT_EQ(stats.evicted_stale, 1u);
+  ExpectLedger(service, "after the stale check-in");
+  EXPECT_EQ(service.pool_cache().EvictGraph(snapshot->epoch), 0u);
+
+  Result<SolverResult> next = service.SubmitAndWait(request);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->pool, PoolOutcome::kWarm);
+  ExpectSameResult(*next, Standalone(applied->snapshot->graph, request));
+  ExpectLedger(service, "after the next SOLVE");
 }
 
 // A build that hits its time limit leaves a timed-out engine behind; the
@@ -1233,6 +1426,60 @@ TEST(ProtocolTest, UpdateSessionMigratesAndEvictsStalePools) {
   stats = session.Execute("STATS");
   EXPECT_NE(stats.find("pool_evicted_stale=2"), std::string::npos) << stats;
   EXPECT_NE(stats.find("pool_entries=0"), std::string::npos) << stats;
+}
+
+// Every UPDATE of this stream gives an edge a brand-new probability, so
+// the class table destabilizes at every epoch: the skip pool is dropped
+// each time and the coin pool always carries. `rebuilt=` counts exactly
+// the drops and the ledger balances after every step.
+TEST(ProtocolTest, DestabilizingUpdateStreamReportsExactRebuilds) {
+  ServiceSession session(FastOptions());
+  ASSERT_TRUE(session.Execute("LOAD ec GEN EmailCore SCALE 0.05 SEED 7 MODEL wc")
+                  .starts_with("OK graph=ec"));
+  const std::string skip =
+      "SOLVE ec SEEDS 1,2 BUDGET 3 ALG ag THETA 200 SEED 9 SAMPLER skip";
+  const std::string coin =
+      "SOLVE ec SEEDS 1,2 BUDGET 3 ALG ag THETA 200 SEED 9 SAMPLER coin";
+  for (int step = 0; step < 5; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::string skip_line = session.Execute(skip);
+    EXPECT_NE(skip_line.find("pool=cold"), std::string::npos) << skip_line;
+    const std::string coin_line = session.Execute(coin);
+    EXPECT_NE(coin_line.find(step == 0 ? "pool=cold" : "pool=warm"),
+              std::string::npos)
+        << coin_line;
+    const std::string update = session.Execute(
+        "UPDATE ec PROB 3,4,0.12345678" + std::to_string(step));
+    ASSERT_TRUE(update.starts_with("OK graph=ec epoch=")) << update;
+    EXPECT_NE(update.find(" migrated=1 rebuilt=1"), std::string::npos)
+        << update;
+    ExpectLedger(session.service(), "after the update");
+  }
+  EXPECT_EQ(session.service().pool_cache().stats().evicted_stale, 5u);
+}
+
+// The first checkout after an UPDATE re-derives the pool inside the SOLVE
+// and its trace shows the span; the second checkout has nothing to
+// migrate.
+TEST(ProtocolTest, TracedSolveShowsTheMigrationOnTheFirstCheckoutOnly) {
+  ServiceSession session(FastOptions());
+  ASSERT_TRUE(session.Execute("LOAD ec GEN EmailCore SCALE 0.1 SEED 7 MODEL wc")
+                  .starts_with("OK graph=ec"));
+  const std::string solve =
+      "SOLVE ec SEEDS 1,2,3 BUDGET 5 ALG gr THETA 500 SEED 9 REUSE prune "
+      "SAMPLER coin";
+  ASSERT_TRUE(session.Execute(solve).starts_with("OK blockers="));
+  // 1 → 2 joins two seeds and leaves the unified graph alone; 99 → 100
+  // is new.
+  const std::string update =
+      session.Execute("UPDATE ec PROB 1,2,0.5 ADD 99,100,0.25");
+  EXPECT_NE(update.find(" migrated=1 rebuilt=0"), std::string::npos) << update;
+  const std::string first = session.Execute(solve + " TRACE 1");
+  EXPECT_NE(first.find(" stage=migrate:"), std::string::npos) << first;
+  EXPECT_NE(first.find("pool=warm"), std::string::npos) << first;
+  const std::string second = session.Execute(solve + " TRACE 1");
+  EXPECT_EQ(second.find(" stage=migrate:"), std::string::npos) << second;
+  EXPECT_EQ(MigrateCalls(session.service()), 1);
 }
 
 }  // namespace
