@@ -3,7 +3,11 @@
 // versus the pre-refactor path that re-runs one-shot ComputeSpreadDecrease
 // per greedy round. A restore arm per reuse mode times
 // SpreadDecreaseEngine::Restore after AdvancedGreedy runs and counts the
-// sample draws it makes (0: restore puts saved regions back).
+// sample draws it makes (0: restore puts saved regions back). An unblock
+// arm per reuse mode unblocks and re-blocks each AG blocker, as GR's phase
+// 2 does, and reports the samples each Unblock re-derives, the share of
+// them that hold the vertex afterwards (1 under kResample, which extends
+// only the samples the vertex joins) and the mean Unblock time.
 // `ag_reuse_modes_agree` is true when AG picks the same blockers under both
 // reuse modes, as it must: a Block prunes the stored worlds in both. Emits
 // a single JSON object on stdout so CI can archive the numbers.
@@ -18,6 +22,7 @@
 //   VBLOCK_POOL_BENCH_THETA   samples        (default 2000)
 //   VBLOCK_POOL_BENCH_THREADS sampling threads (default 1)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -128,6 +133,59 @@ RestoreArm RunRestore(const Graph& g, VertexId root, uint32_t budget,
   return arm;
 }
 
+struct UnblockArm {
+  double rederived_per_unblock = 0;
+  double reach_share = 0;  // re-derived samples holding the vertex after
+  double unblock_ms = 0;   // mean over the Unblocks
+};
+
+// Build once, block `budget` greedy picks (AdvancedGreedy's), then
+// unblock and re-block each pick in turn. An Unblock's re-derived samples
+// are its kSampleDraw calls; a sample holding the vertex afterwards must
+// be one of them, since the vertex was blocked before.
+UnblockArm RunUnblock(const Graph& g, VertexId root, uint32_t budget,
+                      uint32_t theta, uint64_t seed, uint32_t threads,
+                      SampleReuse reuse) {
+  SpreadDecreaseOptions sd;
+  sd.theta = theta;
+  sd.seed = seed;
+  sd.threads = threads;
+  sd.sample_reuse = reuse;
+  SpreadDecreaseEngine engine(g, root, sd);
+  engine.Build();
+  std::vector<VertexId> blockers;
+  for (uint32_t round = 0; round < budget; ++round) {
+    const VertexId v = engine.BestUnblocked();
+    if (v == kInvalidVertex) break;
+    engine.Block(v);
+    blockers.push_back(v);
+  }
+  obs::SolveTrace trace;
+  engine.set_trace(&trace);
+  double rederived = 0, holding = 0, seconds = 0;
+  for (VertexId v : blockers) {
+    const uint64_t draws = trace.stage_calls(obs::SolveStage::kSampleDraw);
+    Timer timer;
+    engine.Unblock(v);
+    seconds += timer.ElapsedSeconds();
+    rederived += static_cast<double>(
+        trace.stage_calls(obs::SolveStage::kSampleDraw) - draws);
+    for (uint32_t i = 0; i < theta; ++i) {
+      const std::vector<VertexId>& region = engine.PoolSample(i).to_parent;
+      holding += std::find(region.begin(), region.end(), v) != region.end();
+    }
+    engine.Block(v);
+  }
+  engine.set_trace(nullptr);
+  UnblockArm arm;
+  if (!blockers.empty()) {
+    arm.rederived_per_unblock = rederived / blockers.size();
+    arm.unblock_ms = seconds * 1e3 / blockers.size();
+  }
+  arm.reach_share = rederived > 0 ? holding / rederived : 0;
+  return arm;
+}
+
 void Evaluate(const Graph& g, VertexId root, ArmResult* arm) {
   EvaluationOptions eval;
   eval.mc_rounds = 100000;
@@ -157,6 +215,10 @@ int main() {
       RunRestore(g, root, budget, theta, seed, threads, SampleReuse::kPrune);
   const RestoreArm restore_resample = RunRestore(
       g, root, budget, theta, seed, threads, SampleReuse::kResample);
+  const UnblockArm unblock_prune =
+      RunUnblock(g, root, budget, theta, seed, threads, SampleReuse::kPrune);
+  const UnblockArm unblock_resample = RunUnblock(
+      g, root, budget, theta, seed, threads, SampleReuse::kResample);
   Evaluate(g, root, &resample_path);
   Evaluate(g, root, &pooled_prune);
   Evaluate(g, root, &pooled_resample);
@@ -184,7 +246,11 @@ int main() {
       "  \"ag_reuse_modes_agree\": %s,\n"
       "  \"restore\": {\"prune\": {\"restore_ms\": %.4f, "
       "\"restore_draw_calls\": %llu}, \"resample\": {\"restore_ms\": %.4f, "
-      "\"restore_draw_calls\": %llu}}\n"
+      "\"restore_draw_calls\": %llu}},\n"
+      "  \"unblock\": {\"prune\": {\"rederived_per_unblock\": %.2f, "
+      "\"reach_share\": %.6f, \"unblock_ms\": %.4f}, \"resample\": "
+      "{\"rederived_per_unblock\": %.2f, \"reach_share\": %.6f, "
+      "\"unblock_ms\": %.4f}}\n"
       "}\n",
       n, static_cast<unsigned long long>(g.NumEdges()), budget, theta, threads,
       resample_path.seconds, resample_path.spread, pooled_prune.seconds,
@@ -193,6 +259,9 @@ int main() {
       restore_prune.restore_ms,
       static_cast<unsigned long long>(restore_prune.restore_draw_calls),
       restore_resample.restore_ms,
-      static_cast<unsigned long long>(restore_resample.restore_draw_calls));
+      static_cast<unsigned long long>(restore_resample.restore_draw_calls),
+      unblock_prune.rederived_per_unblock, unblock_prune.reach_share,
+      unblock_prune.unblock_ms, unblock_resample.rederived_per_unblock,
+      unblock_resample.reach_share, unblock_resample.unblock_ms);
   return 0;
 }

@@ -59,7 +59,8 @@ struct GreedyOptions {
   /// Sample-pool maintenance policy across rounds (see
   /// sampling/sample_pool.h). Block prunes the stored worlds in both
   /// modes, so AG picks the same blockers under either; at an Unblock
-  /// kResample re-draws every sample, kPrune re-prunes its fixed worlds.
+  /// kResample draws fresh coins (on IC pools only for the samples the
+  /// vertex can join), kPrune re-prunes its fixed worlds.
   SampleReuse sample_reuse = SampleReuse::kResample;
   /// Live-edge drawing strategy (common/sampler_kind.h): geometric skips
   /// over the probability-grouped adjacency (default) or per-edge coins.

@@ -68,8 +68,9 @@ struct SolverOptions {
   /// Sample-pool reuse policy across greedy rounds (AG / GR). A Block
   /// re-prunes the affected samples' stored worlds in both modes, so AG
   /// is identical under either; they differ at GR's Unblock: kResample
-  /// re-draws every sample with fresh coins (paper-faithful), kPrune
-  /// re-prunes the fixed θ live-edge worlds (fastest). See
+  /// draws fresh coins (paper-faithful; on IC pools only the samples the
+  /// vertex joins are extended), kPrune re-prunes the fixed θ live-edge
+  /// worlds (fastest). See
   /// docs/DESIGN.md §5.
   SampleReuse sample_reuse = SampleReuse::kResample;
   /// Live-edge drawing strategy for every stochastic traversal (BG / AG /

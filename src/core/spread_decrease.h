@@ -39,9 +39,10 @@ struct SpreadDecreaseOptions {
   uint32_t threads = 1;
   /// How SpreadDecreaseEngine maintains its sample pool across blocker
   /// rounds (no effect on the one-shot Compute* results). Block prunes
-  /// the affected samples' stored worlds in both modes; Unblock re-draws
-  /// every sample under kResample (paper-faithful) and re-prunes the
-  /// fixed worlds under kPrune (fastest). See sampling/sample_pool.h and
+  /// the affected samples' stored worlds in both modes; Unblock draws
+  /// fresh coins under kResample (paper-faithful; an IC pool extends only
+  /// the samples the vertex joins) and re-prunes the fixed worlds under
+  /// kPrune (fastest). See sampling/sample_pool.h and
   /// docs/DESIGN.md §5.
   SampleReuse sample_reuse = SampleReuse::kResample;
   /// How the θ live-edge samples are drawn (common/sampler_kind.h):

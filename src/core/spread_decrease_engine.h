@@ -10,10 +10,10 @@
 // keeps the samples, the per-sample dominator subtree sizes, and the
 // aggregate Δ. Block(v) touches only the samples whose region actually
 // contains v: their cached contributions are retired, the regions pruned
-// under the new mask, re-scored, and re-added (Unblock re-prunes or
-// re-draws per SampleReuse). Every number involved is an integer stored in
-// a double (vertex weights are 0/1), so incremental subtract/add is exact
-// and results are bit-identical for any thread count.
+// under the new mask, re-scored, and re-added (Unblock re-prunes, extends
+// or re-draws per SampleReuse). Every number involved is an integer stored
+// in a double (vertex weights are 0/1), so incremental subtract/add is
+// exact and results are bit-identical for any thread count.
 //
 // Scoring state after Build()/Block()/Unblock() is always consistent:
 // Delta(v) equals what a from-scratch pass over the pool's current samples
@@ -85,8 +85,8 @@ class SpreadDecreaseEngine {
   bool Block(VertexId v, const Deadline& deadline = Deadline());
 
   /// Removes v from the blocked mask (GreedyReplace phase 2) and
-  /// re-derives every sample that may regain vertices through v. v must
-  /// not be in the build-time mask.
+  /// re-derives the samples SamplePool::BeginUnblock lists: those that may
+  /// regain vertices through v. v must not be in the build-time mask.
   bool Unblock(VertexId v, const Deadline& deadline = Deadline());
 
   /// Returns the engine to its freshly-Build() state: resets the blocked

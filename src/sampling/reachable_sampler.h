@@ -17,6 +17,8 @@
 
 #pragma once
 
+#include <span>
+
 #include "common/rng.h"
 #include "common/sampler_kind.h"
 #include "graph/graph.h"
@@ -44,12 +46,31 @@ class ReachableSampler {
   /// Draws one sample into `out` (previous contents discarded).
   void Sample(Rng& rng, SampledGraph* out);
 
+  /// Grows `region` — a sample drawn while `v` was blocked — by `v`, now
+  /// unblocked, into `out` (previous contents discarded; must not alias
+  /// `region`). `live_sources` lists, ascending and non-empty, the local
+  /// ids of `region` whose edge into `v` is live. `out` keeps `region`'s
+  /// vertices, local ids and live edges, gives `v` the next local id with
+  /// the listed in-edges, then continues the BFS from `v`: the out-edges
+  /// of `v` and of every vertex it reaches are drawn from `rng` exactly as
+  /// Sample draws them. (An unblocked vertex outside `region` has only
+  /// dead edges from it, so nothing else changes.)
+  void Extend(const SampledGraph& region, VertexId v,
+              std::span<const uint32_t> live_sources, Rng& rng,
+              SampledGraph* out);
+
   /// Heap bytes of the O(n) visitation arrays.
   uint64_t MemoryUsageBytes() const {
     return VectorBytes(local_id_) + VectorBytes(visit_epoch_);
   }
 
  private:
+  // Appends v to `out` as its next local id and stamps it visited.
+  VertexId Visit(VertexId v, SampledGraph* out);
+  // The BFS of Sample from the first vertex of `out` without a CSR row:
+  // draws each such vertex's live out-edges and appends its row.
+  void DrawRows(Rng& rng, SampledGraph* out);
+
   const Graph& graph_;
   VertexId root_;
   const VertexMask* blocked_;

@@ -111,29 +111,53 @@ bool SamplePool::DeriveSample(uint32_t i, Scratch* scratch) {
   // writes into fresh buffers.
   const bool save = touched_[i] && undo_[i].to_parent.empty();
   if (save) std::swap(samples_[i], undo_[i]);
-  if (revision_[i] == 0 ||
-      (unblocking_ && options_.reuse == SampleReuse::kResample)) {
+  const bool resample = options_.reuse == SampleReuse::kResample;
+  if (revision_[i] == 0 || (unblocking_ && resample && model_)) {
     // A new world: the initial draw (identical in both modes) or a
-    // kResample Unblock's refresh.
+    // triggering-model kResample Unblock's refresh.
     DrawFresh(i, scratch);
     ++revision_[i];
-  } else if (options_.reuse == SampleReuse::kPrune || save) {
-    // The world in the undo slot: kPrune's pristine world, or the built
-    // region a kResample Block found current.
-    Prune(undo_[i], &samples_[i], scratch);
-  } else {
-    // kResample Block: prune the current region, the world drawn last.
+    return save;
+  }
+  // The stored world to derive from: kPrune's pristine world in the undo
+  // slot, or the region a kResample sample holds now (the built one when
+  // it was just saved).
+  const SampledGraph* world = &undo_[i];
+  if (resample && !save) {
     std::swap(samples_[i], scratch->current);
-    Prune(scratch->current, &samples_[i], scratch);
+    world = &scratch->current;
+  }
+  if (unblocking_ && resample) {
+    Extend(i, *world, &samples_[i], scratch);
+  } else {
+    Prune(*world, &samples_[i], scratch);
   }
   return save;
+}
+
+void SamplePool::Extend(uint32_t i, const SampledGraph& region,
+                        SampledGraph* out, Scratch* scratch) {
+  const auto it = std::lower_bound(
+      extensions_.begin(), extensions_.end(), i,
+      [](const Extension& e, uint32_t sample) { return e.sample < sample; });
+  VBLOCK_DCHECK(it != extensions_.end() && it->sample == i);
+  const uint32_t end = it + 1 == extensions_.end()
+                           ? static_cast<uint32_t>(live_sources_.size())
+                           : (it + 1)->live_begin;
+  Rng rng = it->rng;
+  scratch->ic_sampler->Extend(
+      region, unblocked_,
+      std::span<const uint32_t>(live_sources_).subspan(
+          it->live_begin, end - it->live_begin),
+      rng, out);
 }
 
 void SamplePool::PutBackSample(uint32_t i) {
   VBLOCK_DCHECK(!touched_[i] && !undo_[i].to_parent.empty());
   samples_[i] = std::exchange(undo_[i], SampledGraph{});
   // Build, migrate and restore all leave an at-rest sample at revision 1:
-  // the next kResample re-draw uses MixSeed(MixSeed(seed, i), 1).
+  // a triggering-model pool's next kResample re-draw uses
+  // MixSeed(MixSeed(seed, i), 1).
   revision_[i] = 1;
 }
 
@@ -257,21 +281,79 @@ void SamplePool::BeginUnblock(VertexId v, std::vector<uint32_t>* dirty) {
   VBLOCK_DCHECK(blocked_.Test(v) && !build_blocked_.Test(v));
   blocked_.Clear(v);
   unblocking_ = true;
+  auto mark = [&](uint32_t i) {
+    dirty->push_back(i);
+    touched_[i] = 1;
+  };
   if (options_.reuse == SampleReuse::kPrune) {
     for (uint64_t k = pristine_begin_[v]; k < pristine_begin_[v + 1]; ++k) {
-      dirty->push_back(pristine_index_[k]);
-      touched_[pristine_index_[k]] = 1;
+      mark(pristine_index_[k]);
     }
+  } else if (model_ != nullptr) {
+    for (uint32_t i = 0; i < options_.theta; ++i) mark(i);
   } else {
-    for (uint32_t i = 0; i < options_.theta; ++i) {
-      dirty->push_back(i);
-      touched_[i] = 1;
+    FlipUnblockCoins(v, dirty);
+  }
+}
+
+void SamplePool::FlipUnblockCoins(VertexId v, std::vector<uint32_t>* dirty) {
+  ++unblocks_;
+  unblocked_ = v;
+  extensions_.clear();
+  live_sources_.clear();
+  // Bucket the region vertices with an edge into v by sample: a counting
+  // sort over the index lists of v's in-neighbours, plus slot 0 of every
+  // sample when the root is one (the index leaves the root out).
+  struct Coin {
+    uint32_t slot;
+    double p;
+  };
+  const uint32_t theta = options_.theta;
+  const std::span<const VertexId> sources = graph_.InNeighbors(v);
+  const std::span<const double> probs = graph_.InProbabilities(v);
+  const auto from_root = std::find(sources.begin(), sources.end(), root_);
+  std::vector<uint32_t> begin(theta + 1, from_root != sources.end() ? 1 : 0);
+  begin[0] = 0;
+  for (VertexId w : sources) {
+    if (w == root_) continue;
+    for (const IndexEntry& entry : index_[w]) ++begin[entry.sample + 1];
+  }
+  for (uint32_t i = 0; i < theta; ++i) begin[i + 1] += begin[i];
+  std::vector<Coin> coins(begin[theta]);
+  std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+  if (from_root != sources.end()) {
+    const double p = probs[from_root - sources.begin()];
+    for (uint32_t i = 0; i < theta; ++i) coins[cursor[i]++] = {0, p};
+  }
+  for (size_t k = 0; k < sources.size(); ++k) {
+    if (sources[k] == root_) continue;
+    for (const IndexEntry& entry : index_[sources[k]]) {
+      coins[cursor[entry.sample]++] = {entry.slot, probs[k]};
     }
+  }
+  for (uint32_t i = 0; i < theta; ++i) {
+    if (begin[i] == begin[i + 1]) continue;
+    // Sample i's coins for its edges into v, in ascending local-id order,
+    // from the stream of the unblocks_-th Unblock since the last restore.
+    const auto first = coins.begin() + begin[i];
+    const auto last = coins.begin() + begin[i + 1];
+    std::sort(first, last,
+              [](const Coin& a, const Coin& b) { return a.slot < b.slot; });
+    Rng rng(MixSeed(MixSeed(options_.seed, i), unblocks_));
+    const auto live_begin = static_cast<uint32_t>(live_sources_.size());
+    for (auto c = first; c != last; ++c) {
+      if (rng.NextBernoulli(c->p)) live_sources_.push_back(c->slot);
+    }
+    if (live_sources_.size() == live_begin) continue;  // v stays unreached
+    extensions_.push_back({i, live_begin, rng});
+    dirty->push_back(i);
+    touched_[i] = 1;
   }
 }
 
 void SamplePool::BeginRestore(std::vector<uint32_t>* dirty) {
   blocked_ = build_blocked_;
+  unblocks_ = 0;
   for (uint32_t i = 0; i < options_.theta; ++i) {
     if (!touched_[i]) continue;
     dirty->push_back(i);
@@ -318,6 +400,7 @@ uint64_t SamplePool::MemoryUsageBytes() const {
   for (const auto& pos : index_pos_) bytes += VectorBytes(pos);
   bytes += VectorBytes(index_pos_);
   bytes += VectorBytes(pristine_begin_) + VectorBytes(pristine_index_);
+  bytes += VectorBytes(extensions_) + VectorBytes(live_sources_);
   return bytes;
 }
 

@@ -8,7 +8,7 @@
 // across rounds: an inverted index vertex → {samples containing it} pins
 // down exactly which samples a mask change can affect, and only those are
 // re-derived. A Block prunes each affected sample's stored world; the two
-// reuse policies differ only at Unblock (see SampleReuse below).
+// reuse policies differ only at Unblock (sampling/sample_reuse.h).
 //
 // The pool stores only sample regions and their bookkeeping; scoring
 // (dominator trees, Δ aggregation) lives in core/spread_decrease_engine.h,
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cascade/triggering.h"
+#include "common/rng.h"
 #include "common/sampler_kind.h"
 #include "graph/graph.h"
 #include "graph/vertex_mask.h"
@@ -49,9 +50,11 @@ class SamplePool {
     /// Number of samples θ.
     uint32_t theta = 10000;
     /// Base RNG seed. Sample i's initial draw uses MixSeed(seed, i), so
-    /// results do not depend on the thread count. Re-draw r of sample i
-    /// (a kResample Unblock; r counts the draws before it) uses
-    /// MixSeed(MixSeed(seed, i), r).
+    /// results do not depend on the thread count. Under kResample the k-th
+    /// Unblock since the build or the last restore flips sample i's coins
+    /// (and an IC extension's draws) from MixSeed(MixSeed(seed, i), k);
+    /// a triggering-model pool instead re-draws sample i from
+    /// MixSeed(MixSeed(seed, i), r), r counting its draws before.
     uint64_t seed = 1;
     SampleReuse reuse = SampleReuse::kResample;
     /// Live-edge drawing strategy (common/sampler_kind.h).
@@ -106,14 +109,17 @@ class SamplePool {
   /// Begin* call. Revision 0 (build, migrate, a re-deriving kResample
   /// restore) draws from the base graph. After a BeginBlock both modes
   /// prune a stored world: kPrune its pristine world, kResample its
-  /// current region. After a BeginUnblock kPrune re-prunes the pristine
-  /// world and kResample draws a new world; only draws advance the
-  /// sample's revision. Thread-safe for distinct i; the caller must have
-  /// removed i from the index first and must re-add it afterwards. The
-  /// first call for a sample touched since the last restore moves its
-  /// region into the sample's undo slot and derives into fresh buffers; it
-  /// returns true exactly then, so a caller caching per-sample state can
-  /// save it too.
+  /// current region. After a BeginUnblock(v) kPrune re-prunes the
+  /// pristine world; kResample *extends* an IC sample's current region —
+  /// it keeps the region, adds v with the in-edges whose coins
+  /// BeginUnblock flipped live, and continues the BFS from v on the same
+  /// stream — and re-draws a triggering-model sample as a new world. Only
+  /// draws advance the sample's revision. Thread-safe for distinct i; the
+  /// caller must have removed i from the index first and must re-add it
+  /// afterwards. The first call for a sample touched since the last
+  /// restore moves its region into the sample's undo slot and derives
+  /// into fresh buffers; it returns true exactly then, so a caller caching
+  /// per-sample state can save it too.
   bool DeriveSample(uint32_t i, Scratch* scratch);
 
   /// kPrune: builds the static vertex→samples CSR over the freshly drawn
@@ -135,11 +141,23 @@ class SamplePool {
   /// must be re-derived (a sample that never reached v cannot change).
   void BeginBlock(VertexId v, std::vector<uint32_t>* dirty);
 
-  /// Clears v from the mask and appends the samples that may regain
-  /// vertices: in kPrune the pristine index of v (static superset of every
-  /// region that can re-expand through v); in kResample the entire pool,
-  /// each of which DeriveSample re-draws as a new world (full refresh —
-  /// unblocking is rare and only GreedyReplace phase 2 does it).
+  /// Clears v from the mask and appends, sorted ascending, the samples
+  /// to re-derive:
+  ///  * kPrune: the pristine index of v (static superset of every region
+  ///    that can re-expand through v).
+  ///  * kResample, IC: exactly the samples v joins. The candidates are
+  ///    the samples whose region holds an in-neighbour of v (every sample
+  ///    when the root is one). For each, in ascending sample id, it flips
+  ///    fresh Bernoulli(p) coins for the edges from the region into v, in
+  ///    ascending local-id order, on the stream of this Unblock (see
+  ///    Options::seed). A candidate with a live coin is listed, and
+  ///    DeriveSample extends it; the others keep their region, which is
+  ///    already a draw under the new mask. Exact because a region depends
+  ///    only on its edges into unblocked vertices and IC edges are
+  ///    independent: given the region, the edges into v and out of
+  ///    unreached vertices are still unexamined (docs/DESIGN.md §5).
+  ///  * kResample, triggering model: the entire pool, each sample re-drawn
+  ///    as a new world (a vertex's in-edges are not independent there).
   void BeginUnblock(VertexId v, std::vector<uint32_t>* dirty);
 
   /// Resets the blocked mask to the build-time mask and appends exactly
@@ -157,9 +175,11 @@ class SamplePool {
   ///    region under the build-time mask, kResample replays the revision-0
   ///    stream MixSeed(seed, i). The undo slot is kept (it still holds
   ///    the built region) until the next BeginMigrate.
-  /// Either way the pool is bit-identical to its freshly built state, which
-  /// lets the warm-pool cache (service/pool_cache.h) return a used engine
-  /// to circulation with cold-path bit-exactness.
+  /// Either way the pool is bit-identical to its freshly built state, and
+  /// the Unblock count that keys the kResample coin streams starts over,
+  /// as in a fresh pool. That lets the warm-pool cache
+  /// (service/pool_cache.h) return a used engine to circulation with
+  /// cold-path bit-exactness.
   void BeginRestore(std::vector<uint32_t>* dirty);
 
   /// Restore step for a sample listed by BeginRestore: moves its saved
@@ -213,6 +233,13 @@ class SamplePool {
 
  private:
   void DrawFresh(uint32_t i, Scratch* scratch);
+  // IC kResample BeginUnblock: flips each candidate's coins into v and
+  // lists the samples with a live one.
+  void FlipUnblockCoins(VertexId v, std::vector<uint32_t>* dirty);
+  // Grows `region` by the unblocked vertex into *out, from sample i's
+  // coins flipped by FlipUnblockCoins.
+  void Extend(uint32_t i, const SampledGraph& region, SampledGraph* out,
+              Scratch* scratch);
   // BFS over `world`'s stored live edges under the current mask, into *out.
   void Prune(const SampledGraph& world, SampledGraph* out, Scratch* scratch);
   void BuildPristineIndex();
@@ -228,8 +255,23 @@ class SamplePool {
   std::vector<SampledGraph> samples_;
   std::vector<uint32_t> revision_;
   // Set by BeginUnblock, cleared by BeginBlock: the pending DeriveSample
-  // calls serve an Unblock, which under kResample draws new worlds.
+  // calls serve an Unblock, which under kResample extends the IC regions
+  // and re-draws the triggering-model ones.
   bool unblocking_ = false;
+  // IC kResample Unblock state. unblocks_ counts the Unblocks since the
+  // build or the last restore and keys the coin streams. extensions_
+  // holds, per dirty sample (ascending), its coin stream after the coins
+  // into unblocked_ and where its live sources start in live_sources_ —
+  // the local ids whose edge into unblocked_ came up live.
+  struct Extension {
+    uint32_t sample;
+    uint32_t live_begin;
+    Rng rng;
+  };
+  VertexId unblocked_ = kInvalidVertex;
+  uint32_t unblocks_ = 0;
+  std::vector<Extension> extensions_;
+  std::vector<uint32_t> live_sources_;
   // Samples touched by BeginBlock/BeginUnblock since the build (or the
   // last BeginRestore) — exactly the set a restore must put back.
   std::vector<uint8_t> touched_;

@@ -15,8 +15,11 @@ namespace vblock {
 /// re-*pruned* — a BFS over the live edges they store, no RNG — which
 /// keeps the pool θ independent samples of G[V\B].
 enum class SampleReuse : uint8_t {
-  /// Paper-faithful randomness: unblocking re-*draws* the whole pool with
-  /// fresh coins, matching the paper's per-invocation re-sampling.
+  /// Paper-faithful randomness: unblocking v draws fresh coins, so each
+  /// sample is again an independent draw under the new mask, as the
+  /// paper's per-invocation re-sampling has it. On IC pools only the edges
+  /// into v are flipped, and only the samples that v joins are extended
+  /// from v onward; a triggering-model pool re-draws every sample.
   kResample = 0,
   /// Fixed-pool mode: the θ live-edge worlds are drawn once and kept for
   /// the whole run. Unblocking re-prunes the samples that can re-expand

@@ -71,10 +71,12 @@ void QueryService::RegisterMetrics() {
         obs::SolveStageName(static_cast<obs::SolveStage>(i));
     stage_seconds_[i] = metrics_.GetFloatCounter(
         "vblock_solve_stage_seconds_total{stage=\"" + stage + "\"}",
-        "Seconds attributed to this solve stage (traced solves only)");
+        "Seconds attributed to this solve stage (traced solves; migrate "
+        "also counts untraced checkout migrations)");
     stage_calls_[i] = metrics_.GetCounter(
         "vblock_solve_stage_calls_total{stage=\"" + stage + "\"}",
-        "Stage invocations folded from traced solves");
+        "Stage invocations folded from traced solves (migrate also counts "
+        "untraced checkout migrations)");
   }
 
   // Queue state and derived rates project through callbacks so METRICS and
@@ -343,7 +345,8 @@ void QueryService::Execute(const std::shared_ptr<Computation>& comp) {
   Result<SolverResult> result = run();
 
   // Fold this solve's stage attribution into the service-lifetime cells —
-  // the vblock_solve_stage_* series accumulate across traced requests.
+  // the vblock_solve_stage_* series accumulate across traced requests, and
+  // the migrate cells across every checkout migration.
   uint64_t trace_id = 0;
   if (result.ok()) {
     const SolverResult& r = *result;

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,20 +87,27 @@ TEST(OracleTest, BlockKeepsTheSpreadOfTheMinimalGraph) {
 }
 
 // One enumerable instance and what the state walk uses. The blockers are
-// each the vertex of largest exact Δ in the state it is blocked from; g1,
-// g2 and g3 each follow the graph before them by one region update.
+// each the vertex of largest exact Δ in the state it is blocked from (d:
+// of the vertices the root has no edge into); g1, g2 and g3 each follow
+// the graph before them by one region update.
 struct OracleInstance {
   Graph graph;
-  VertexId b1, b2, b3;
+  VertexId b1, b2, b3, d;
   Graph g1, g2, g3;
   VertexId c1, c3;  // blocked on g1 and on g3
 };
 
-VertexId BestExact(const Graph& g, const VertexMask& mask) {
+VertexId BestExact(const Graph& g, const VertexMask& mask,
+                   bool off_root = false) {
   auto exact = ComputeSpreadDecreaseExact(g, 0, &mask);
   VBLOCK_CHECK(exact.ok());
+  const std::span<const VertexId> from_root = g.OutNeighbors(0);
   VertexId best = kInvalidVertex;
   for (VertexId v = 1; v < g.NumVertices(); ++v) {
+    if (off_root &&
+        std::find(from_root.begin(), from_root.end(), v) != from_root.end()) {
+      continue;
+    }
     if (exact->delta[v] > 0 &&
         (best == kInvalidVertex || exact->delta[v] > exact->delta[best])) {
       best = v;
@@ -177,9 +185,9 @@ std::optional<Graph> RegionUpdate(const Graph& g, uint64_t rng) {
 
 // Random ER instances, p uniform in [0.1, 0.9] rounded to a tenth (so
 // values repeat, and an update can keep the class table), with 10–14
-// uncertain edges in the root's region, three distinct blockers to walk,
-// three region updates, and a blocker on the first and the third updated
-// graph.
+// uncertain edges in the root's region, three blockers to walk (b3 is
+// usually b1 again) and one the root has no edge into, three region
+// updates, and a blocker on the first and the third updated graph.
 std::vector<OracleInstance> OracleInstances(size_t count) {
   std::vector<OracleInstance> out;
   for (uint64_t seed = 1; out.size() < count; ++seed) {
@@ -199,6 +207,10 @@ std::vector<OracleInstance> OracleInstances(size_t count) {
     mask.Set(b2);
     const VertexId b3 = BestExact(g, mask);
     if (b3 == kInvalidVertex) continue;
+    mask.Clear(b2);
+    mask.Set(b3);
+    const VertexId d = BestExact(g, mask, /*off_root=*/true);
+    if (d == kInvalidVertex) continue;
     std::optional<Graph> g1 = RegionUpdate(g, seed);
     if (!g1) continue;
     std::optional<Graph> g2 = RegionUpdate(*g1, seed + 1000);
@@ -209,8 +221,8 @@ std::vector<OracleInstance> OracleInstances(size_t count) {
     const VertexId c1 = BestExact(*g1, none);
     const VertexId c3 = BestExact(*g3, none);
     if (c1 == kInvalidVertex || c3 == kInvalidVertex) continue;
-    out.push_back({std::move(g), b1, b2, b3, std::move(*g1), std::move(*g2),
-                   std::move(*g3), c1, c3});
+    out.push_back({std::move(g), b1, b2, b3, d, std::move(*g1),
+                   std::move(*g2), std::move(*g3), c1, c3});
   }
   return out;
 }
@@ -237,9 +249,12 @@ void MigrateAcross(Graph* live, std::initializer_list<const Graph*> steps,
 }
 
 // Every state of the walk fresh → Block(b1) → Block(b2) → Unblock(b1) →
-// Block(b3) → Restore → migrate to g1 → Block(c1) → Restore → migrate
+// Block(b3) → Unblock(b2) → Block(b2) → Unblock(b2) → Block(d) →
+// Unblock(d) → Restore → migrate to g1 → Block(c1) → Restore → migrate
 // to g3 over the folded g2 and g3 deltas → Block(c3), under both reuse
-// modes and both sampler kinds: the
+// modes and both sampler kinds. The second Unblock(b2) must flip coins
+// the first did not, and Unblock(d) extends only the samples that hold
+// an in-neighbour of d. In each state the
 // spread and every vertex's Δ must lie within ε·OPT of the exact value,
 // with ε = GuaranteedEpsilon(n, θ, l, OPT); an exact Δ of 0 must be
 // sampled as exactly 0. Theorem 5 bounds each estimate's failure
@@ -251,7 +266,7 @@ void MigrateAcross(Graph* live, std::initializer_list<const Graph*> steps,
 TEST(OracleTest, EngineStatesMatchEnumerationWithinTheorem5Band) {
   constexpr uint32_t kTheta = 20000;
   constexpr size_t kInstances = 8;
-  constexpr int kStates = 11;
+  constexpr int kStates = 16;
   constexpr double kFalseFailure = 1e-3;
   const std::vector<OracleInstance> instances = OracleInstances(kInstances);
 
@@ -297,20 +312,28 @@ TEST(OracleTest, EngineStatesMatchEnumerationWithinTheorem5Band) {
     enumerate(inst.graph);
     mask.Set(inst.b3);
     enumerate(inst.graph);
+    mask.Clear(inst.b2);
+    enumerate(inst.graph);
+    truth.push_back(truth[4]);  // b2 blocked again
+    truth.push_back(truth[5]);  // b2 unblocked again
+    mask.Set(inst.d);
+    enumerate(inst.graph);
+    truth.push_back(truth[5]);  // d unblocked
     truth.push_back(truth[0]);  // restored
     mask = VertexMask(n);
     enumerate(inst.g1);  // migrated
     mask.Set(inst.c1);
     enumerate(inst.g1);
-    truth.push_back(truth[6]);  // restored
+    truth.push_back(truth[11]);  // restored
     mask = VertexMask(n);
     enumerate(inst.g3);  // migrated over two folded updates
     mask.Set(inst.c3);
     enumerate(inst.g3);
     const char* const kStateNames[kStates] = {
-        "fresh",       "block b1", "block b2",          "unblock b1",
-        "block b3",    "restore",  "migrate g1",        "block c1",
-        "restore g1", "migrate g2+g3", "block c3"};
+        "fresh",      "block b1",         "block b2",      "unblock b1",
+        "block b3",   "unblock b2",       "reblock b2",    "unblock b2 again",
+        "block d",    "unblock d",        "restore",       "migrate g1",
+        "block c1",   "restore g1",       "migrate g2+g3", "block c3"};
 
     for (SampleReuse reuse : kReuseModes) {
       for (SamplerKind kind : kSamplerKinds) {
@@ -338,18 +361,28 @@ TEST(OracleTest, EngineStatesMatchEnumerationWithinTheorem5Band) {
         check(3);
         ASSERT_TRUE(engine.Block(inst.b3));
         check(4);
-        engine.Restore();
+        ASSERT_TRUE(engine.Unblock(inst.b2));
         check(5);
-        MigrateAcross(&live, {&inst.g1}, &engine);
+        ASSERT_TRUE(engine.Block(inst.b2));
         check(6);
-        ASSERT_TRUE(engine.Block(inst.c1));
+        ASSERT_TRUE(engine.Unblock(inst.b2));
         check(7);
-        engine.Restore();
+        ASSERT_TRUE(engine.Block(inst.d));
         check(8);
-        MigrateAcross(&live, {&inst.g2, &inst.g3}, &engine);
+        ASSERT_TRUE(engine.Unblock(inst.d));
         check(9);
-        ASSERT_TRUE(engine.Block(inst.c3));
+        engine.Restore();
         check(10);
+        MigrateAcross(&live, {&inst.g1}, &engine);
+        check(11);
+        ASSERT_TRUE(engine.Block(inst.c1));
+        check(12);
+        engine.Restore();
+        check(13);
+        MigrateAcross(&live, {&inst.g2, &inst.g3}, &engine);
+        check(14);
+        ASSERT_TRUE(engine.Block(inst.c3));
+        check(15);
       }
     }
   }

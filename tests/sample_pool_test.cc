@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -452,6 +453,134 @@ TEST(SamplePoolTest, BeginRestoreDirtySetDoesNotCreepAcrossCycles) {
     pool.BeginRestore(&idle);
     EXPECT_TRUE(idle.empty());
   }
+}
+
+// A SamplePool driven as the engine drives it: built and indexed, and
+// each mask change's dirty samples retired, re-derived and re-published.
+struct DrivenPool {
+  SamplePool pool;
+  SamplePool::Scratch scratch;
+
+  DrivenPool(const Graph& g, const SamplePool::Options& options,
+             const TriggeringModel* model = nullptr)
+      : pool(g, 0, options, model), scratch(pool.MakeScratch()) {
+    for (uint32_t i = 0; i < options.theta; ++i) {
+      pool.DeriveSample(i, &scratch);
+    }
+    pool.FinalizeBuild();
+    for (uint32_t i = 0; i < options.theta; ++i) pool.AddToIndex(i);
+  }
+  void Rederive(const std::vector<uint32_t>& dirty) {
+    for (uint32_t i : dirty) pool.RemoveFromIndex(i);
+    for (uint32_t i : dirty) pool.DeriveSample(i, &scratch);
+    for (uint32_t i : dirty) pool.AddToIndex(i);
+  }
+  std::vector<uint32_t> Block(VertexId v) {
+    std::vector<uint32_t> dirty;
+    pool.BeginBlock(v, &dirty);
+    Rederive(dirty);
+    return dirty;
+  }
+  std::vector<uint32_t> Unblock(VertexId v) {
+    std::vector<uint32_t> dirty;
+    pool.BeginUnblock(v, &dirty);
+    Rederive(dirty);
+    return dirty;
+  }
+};
+
+// A kResample Unblock on an IC pool lists only the samples the vertex
+// joins and extends them: each holds the vertex afterwards, right after
+// its old vertices, and keeps their local ids and live edges; every other
+// sample keeps its bytes. Both sampler kinds, for a vertex the root has
+// an edge into (every sample is a candidate) and for one it has not.
+TEST(SamplePoolTest, ResampleUnblockExtendsOnlyTheSamplesTheVertexJoins) {
+  const Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 21));
+  const std::span<const VertexId> from_root = g.OutNeighbors(0);
+  for (SamplerKind kind :
+       {SamplerKind::kPerEdgeCoin, SamplerKind::kGeometricSkip}) {
+    SamplePool::Options options;
+    options.theta = 300;
+    options.seed = 23;
+    options.reuse = SampleReuse::kResample;
+    options.sampler_kind = kind;
+    for (bool adjacent : {true, false}) {
+      SCOPED_TRACE(std::string(kind == SamplerKind::kPerEdgeCoin ? "coin"
+                                                                 : "skip") +
+                   (adjacent ? " root-adjacent" : " not root-adjacent"));
+      DrivenPool driven(g, options);
+      // The vertex of the wanted kind that the most built regions hold.
+      std::vector<uint32_t> held(g.NumVertices(), 0);
+      for (uint32_t i = 0; i < options.theta; ++i) {
+        const std::vector<VertexId>& region = driven.pool.sample(i).to_parent;
+        for (size_t k = 1; k < region.size(); ++k) ++held[region[k]];
+      }
+      VertexId v = kInvalidVertex;
+      for (VertexId u = 1; u < g.NumVertices(); ++u) {
+        const bool is_adjacent =
+            std::find(from_root.begin(), from_root.end(), u) !=
+            from_root.end();
+        if (is_adjacent == adjacent &&
+            (v == kInvalidVertex || held[u] > held[v])) {
+          v = u;
+        }
+      }
+      ASSERT_NE(v, kInvalidVertex);
+      ASSERT_GT(held[v], 0u);
+
+      driven.Block(v);
+      std::vector<SampledGraph> before;
+      for (uint32_t i = 0; i < options.theta; ++i) {
+        before.push_back(driven.pool.sample(i));
+      }
+      const std::vector<uint32_t> dirty = driven.Unblock(v);
+      ASSERT_FALSE(dirty.empty());
+      EXPECT_LT(dirty.size(), options.theta);
+      EXPECT_TRUE(std::is_sorted(dirty.begin(), dirty.end()));
+      std::vector<uint8_t> listed(options.theta, 0);
+      for (uint32_t i : dirty) listed[i] = 1;
+      for (uint32_t i = 0; i < options.theta; ++i) {
+        const SampledGraph& now = driven.pool.sample(i);
+        const SampledGraph& was = before[i];
+        if (!listed[i]) {
+          ASSERT_EQ(now.to_parent, was.to_parent) << "sample " << i;
+          ASSERT_EQ(now.offsets, was.offsets) << "sample " << i;
+          ASSERT_EQ(now.targets, was.targets) << "sample " << i;
+          continue;
+        }
+        const VertexId old_size = was.NumVertices();
+        ASSERT_GT(now.NumVertices(), old_size) << "sample " << i;
+        EXPECT_EQ(now.to_parent[old_size], v) << "sample " << i;
+        EXPECT_TRUE(std::equal(was.to_parent.begin(), was.to_parent.end(),
+                               now.to_parent.begin()))
+            << "sample " << i;
+        for (VertexId u = 0; u < old_size; ++u) {
+          const uint32_t old_row = was.offsets[u + 1] - was.offsets[u];
+          ASSERT_GE(now.offsets[u + 1] - now.offsets[u], old_row);
+          EXPECT_TRUE(std::equal(was.targets.begin() + was.offsets[u],
+                                 was.targets.begin() + was.offsets[u + 1],
+                                 now.targets.begin() + now.offsets[u]))
+              << "sample " << i << " row " << u;
+        }
+      }
+    }
+  }
+}
+
+// A triggering-model (LT) pool keeps the whole-pool re-draw at a
+// kResample Unblock: the LT in-edges of one vertex are not independent,
+// so the IC extension's argument does not hold there.
+TEST(SamplePoolTest, TriggeringResampleUnblockRedrawsEverySample) {
+  const Graph g = WithWeightedCascade(GenerateBarabasiAlbert(250, 3, 21));
+  const LtTriggeringModel lt(g);
+  SamplePool::Options options;
+  options.theta = 200;
+  options.seed = 5;
+  options.reuse = SampleReuse::kResample;
+  DrivenPool driven(g, options, &lt);
+  const VertexId v = g.OutNeighbors(0)[0];
+  ASSERT_FALSE(driven.Block(v).empty());
+  EXPECT_EQ(driven.Unblock(v).size(), options.theta);
 }
 
 // Restoring twice (and restoring an untouched engine) is a no-op.
