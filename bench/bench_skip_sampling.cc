@@ -2,14 +2,12 @@
 // throughput — per-edge coins vs geometric skips over the
 // probability-grouped adjacency — on the three propagation models the
 // paper evaluates: weighted cascade (WC), trivalency (TR), and a uniform
-// constant-p assignment. Each instance measures both traversal directions:
-// forward root-reachable draws (ReachableSampler, the Algorithm-2 inner
-// loop) and reverse RR-set draws (RrSetGenerator, the direction where WC
-// collapses every vertex's in-edges into a single probability run). Emits
-// one JSON object on stdout so CI can archive the numbers.
+// constant-p assignment. Each instance measures forward root-reachable
+// draws (ReachableSampler, the Algorithm-2 inner loop). Emits one JSON
+// object on stdout so CI can archive the numbers.
 //
-// Acceptance targets (advisory CI checks): skip ≥ 2x per-edge draw
-// throughput on the WC RR direction, and ≥ 0.9x on the WC forward one.
+// Acceptance target (advisory CI check): skip ≥ 0.9x per-edge draw
+// throughput on WC.
 //
 // Environment knobs (defaults are the tiny synthetic config):
 //   VBLOCK_SKIP_BENCH_N       vertices              (default 8000)
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "cascade/rr_sets.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "gen/generators.h"
@@ -60,7 +57,6 @@ struct InstanceResult {
   uint32_t classes = 0;
   double grouped_build_seconds = 0;
   DirectionResult forward;
-  DirectionResult rr;
 };
 
 // θ forward draws rooted at the max-out-degree vertex (a meaty frontier).
@@ -86,27 +82,6 @@ void MeasureForward(const Graph& g, uint32_t theta, uint64_t seed,
   out->FinishRatios();
 }
 
-// θ RR-set draws of uniformly random targets. Each draw gets its own
-// MixSeed stream, so every kind samples the same target sequence (the
-// target is the stream's first variate) and only the edge draws differ.
-void MeasureRr(const Graph& g, uint32_t theta, uint64_t seed,
-               DirectionResult* out) {
-  for (size_t k = 0; k < kNumKinds; ++k) {
-    RrSetGenerator generator(g, kKinds[k]);
-    std::vector<VertexId> rr;
-    uint64_t total_size = 0;
-    Timer timer;
-    for (uint32_t i = 0; i < theta; ++i) {
-      Rng rng(MixSeed(seed, i));
-      generator.SampleRandomTarget(rng, &rr);
-      total_size += rr.size();
-    }
-    out->seconds[k] = timer.ElapsedSeconds();
-    out->mean_size[k] = static_cast<double>(total_size) / theta;
-  }
-  out->FinishRatios();
-}
-
 InstanceResult MeasureInstance(const std::string& model, const Graph& g,
                                uint32_t theta, uint64_t seed) {
   InstanceResult result;
@@ -117,18 +92,16 @@ InstanceResult MeasureInstance(const std::string& model, const Graph& g,
   result.classes = g.GroupedView().NumClasses();
   result.grouped_build_seconds = build_timer.ElapsedSeconds();
   MeasureForward(g, theta, seed, &result.forward);
-  MeasureRr(g, theta, MixSeed(seed, 0x5eed), &result.rr);
   return result;
 }
 
-void PrintDirection(const char* name, const DirectionResult& d,
-                    const char* trailing_comma) {
+void PrintDirection(const char* name, const DirectionResult& d) {
   std::printf(
       "    \"%s\": {\"per_edge_seconds\": %.4f, \"skip_seconds\": %.4f, "
       "\"speedup\": %.2f, \"per_edge_mean_size\": %.2f, "
-      "\"skip_mean_size\": %.2f}%s\n",
+      "\"skip_mean_size\": %.2f}\n",
       name, d.seconds[0], d.seconds[1], d.speedup, d.mean_size[0],
-      d.mean_size[1], trailing_comma);
+      d.mean_size[1]);
 }
 
 }  // namespace
@@ -159,8 +132,7 @@ int main() {
     std::printf("    \"probability_classes\": %u,\n", r.classes);
     std::printf("    \"grouped_build_seconds\": %.4f,\n",
                 r.grouped_build_seconds);
-    PrintDirection("forward", r.forward, ",");
-    PrintDirection("rr", r.rr, "");
+    PrintDirection("forward", r.forward);
     std::printf("    }%s\n", i + 1 < instances.size() ? "," : "");
   }
   std::printf("  }\n}\n");

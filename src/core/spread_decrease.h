@@ -85,28 +85,4 @@ SpreadDecreaseResult ComputeSpreadDecreaseTriggering(
     const Graph& g, const TriggeringModel& model, VertexId root,
     const SpreadDecreaseOptions& options, const VertexMask* blocked = nullptr);
 
-/// Weighted variant of Algorithm 2: Δ[u] estimates the decrease of the
-/// *weighted* spread Σ_{reached w} weight[w] when u is blocked, and
-/// expected_spread is the weighted spread estimate. Weights must be 0/1
-/// (CheckZeroOneWeights); with all ones this equals ComputeSpreadDecrease.
-/// The edge-blocking extension assigns weight 0 to its auxiliary
-/// edge-split vertices so that only real vertices count.
-SpreadDecreaseResult ComputeSpreadDecreaseWeighted(
-    const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
-    const SpreadDecreaseOptions& options, const VertexMask* blocked = nullptr);
-
-/// Exact weighted variant by exhaustive world enumeration (tests / small
-/// graphs); 0/1 weights as above.
-Result<SpreadDecreaseResult> ComputeSpreadDecreaseExactWeighted(
-    const Graph& g, VertexId root, const std::vector<double>& vertex_weight,
-    const VertexMask* blocked = nullptr, int max_uncertain_edges = 25);
-
-/// Validates weights for the weighted variants and returns them as bytes.
-/// Only 0/1 weights are accepted — the edge-split reduction's 1 for real
-/// and 0 for auxiliary vertices — which keeps every weighted subtree size
-/// an integer, so incremental scoring stays exact. CHECK-fails on any
-/// other value or on a size other than g.NumVertices().
-std::vector<uint8_t> CheckZeroOneWeights(const Graph& g,
-                                         const std::vector<double>& weight);
-
 }  // namespace vblock

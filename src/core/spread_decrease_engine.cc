@@ -12,35 +12,24 @@
 namespace vblock {
 
 void SampleScorer::Score(const SampledGraph& sample,
-                         std::span<const uint8_t> weight,
                          std::vector<VertexId>* sizes) {
-  std::span<const uint8_t> local;
-  if (!weight.empty()) {
-    local_weight.clear();
-    for (VertexId parent : sample.to_parent) {
-      local_weight.push_back(weight[parent]);
-    }
-    local = local_weight;
-  }
   if (sample.NumVertices() > 1) {
     workspace.ComputeDominatorTreeInto(sample.View(), 0, &tree);
-    workspace.ComputeSubtreeSizesInto(tree, sizes, local);
+    workspace.ComputeSubtreeSizesInto(tree, sizes);
   } else {
-    sizes->assign(1, local.empty() ? 1 : local[0]);
+    sizes->assign(1, 1);
   }
 }
 
 SpreadDecreaseEngine::SpreadDecreaseEngine(
     const Graph& g, VertexId root, const SpreadDecreaseOptions& options,
-    const TriggeringModel* model, const VertexMask* blocked,
-    const std::vector<double>* vertex_weight)
+    const TriggeringModel* model, const VertexMask* blocked)
     : graph_(g),
       root_(root),
       pool_(g, root,
             SamplePool::Options{options.theta, options.seed,
                                 options.sample_reuse, options.sampler_kind},
             model, blocked) {
-  if (vertex_weight) weight_ = CheckZeroOneWeights(g, *vertex_weight);
   num_threads_ = std::max<uint32_t>(
       1, std::min({options.threads, options.theta, ExecutorWidth()}));
   workers_.push_back(Worker{pool_.MakeScratch(), {}});
@@ -109,7 +98,7 @@ bool SpreadDecreaseEngine::RecomputeDirty(const Deadline& deadline,
         saved_sizes_[i].swap(sizes_[i]);
       }
       const uint64_t draw_end = trace ? obs::SolveTrace::NowNanos() : 0;
-      w.scorer.Score(pool_.sample(i), weight_, &sizes_[i]);
+      w.scorer.Score(pool_.sample(i), &sizes_[i]);
       if (trace) {
         trace->Add(obs::SolveStage::kSampleDraw, draw_end - draw_begin);
         trace->Add(obs::SolveStage::kDomTree,
@@ -226,7 +215,6 @@ uint64_t SpreadDecreaseEngine::MemoryUsageBytes() const {
   bytes += static_cast<uint64_t>(sizes_.capacity()) *
            sizeof(std::vector<VertexId>);
   bytes += VectorBytes(saved_sizes_);
-  bytes += static_cast<uint64_t>(weight_.capacity()) * sizeof(uint8_t);
   bytes += static_cast<uint64_t>(delta_raw_.capacity()) * sizeof(double);
   bytes += static_cast<uint64_t>(dirty_.capacity()) * sizeof(uint32_t);
   bytes += VectorBytes(workers_);

@@ -12,8 +12,8 @@
 // contains v: their cached contributions are retired, the regions pruned
 // under the new mask, re-scored, and re-added (Unblock re-prunes, extends
 // or re-draws per SampleReuse). Every number involved is an integer stored
-// in a double (vertex weights are 0/1), so incremental subtract/add is
-// exact and results are bit-identical for any thread count.
+// in a double, so incremental subtract/add is exact and results are
+// bit-identical for any thread count.
 //
 // Scoring state after Build()/Block()/Unblock() is always consistent:
 // Delta(v) equals what a from-scratch pass over the pool's current samples
@@ -37,28 +37,25 @@ class SolveTrace;
 namespace vblock {
 
 /// Algorithm 2's per-sample step: one dominator tree plus one subtree-size
-/// pass over `sample`. sizes[k] is the (weighted) number of sample
-/// vertices lost when local vertex k is blocked (Theorem 6), and sizes[0]
-/// — the root's subtree, i.e. the whole region — the sample's (weighted)
-/// size. `weight` holds 0/1 weights by parent id (empty = all ones). The
-/// buffers are reused, so steady state performs no heap allocations.
+/// pass over `sample`. sizes[k] is the number of sample vertices lost
+/// when local vertex k is blocked (Theorem 6), and sizes[0] — the root's
+/// subtree, i.e. the whole region — the sample's size. The buffers are
+/// reused, so steady state performs no heap allocations.
 struct SampleScorer {
   DominatorWorkspace workspace;
   DominatorTree tree;
-  std::vector<uint8_t> local_weight;
 
-  void Score(const SampledGraph& sample, std::span<const uint8_t> weight,
-             std::vector<VertexId>* sizes);
+  void Score(const SampledGraph& sample, std::vector<VertexId>* sizes);
 
   /// Heap bytes of the reused buffers.
   uint64_t MemoryUsageBytes() const {
     return workspace.MemoryUsageBytes() + VectorBytes(tree.idom) +
-           VectorBytes(tree.order) + VectorBytes(local_weight);
+           VectorBytes(tree.order);
   }
 };
 
-/// Incremental Δ estimator consumed by AdvancedGreedy / GreedyReplace,
-/// GreedyEdgeBlocking and the one-shot Compute* estimators.
+/// Incremental Δ estimator consumed by AdvancedGreedy / GreedyReplace and
+/// the one-shot Compute* estimators.
 /// Lifecycle: construct → Build() → interleave Block()/Unblock() with
 /// Delta()/BestUnblocked() queries → Restore(). Build/Block/Unblock return
 /// false (and latch timed_out()) when the deadline expires mid-update; the
@@ -68,14 +65,10 @@ class SpreadDecreaseEngine {
   /// `model` switches sampling to the triggering model (§V-E); not owned.
   /// `blocked` (copied; null = none) is the build-time mask: Build() and
   /// Restore() run under it, and its vertices can never be unblocked.
-  /// `vertex_weight` (null = all ones) must be 0/1 per vertex
-  /// (CHECK-enforced; see CheckZeroOneWeights): Δ and the spread then
-  /// count weight-1 vertices only.
   SpreadDecreaseEngine(const Graph& g, VertexId root,
                        const SpreadDecreaseOptions& options,
                        const TriggeringModel* model = nullptr,
-                       const VertexMask* blocked = nullptr,
-                       const std::vector<double>* vertex_weight = nullptr);
+                       const VertexMask* blocked = nullptr);
 
   /// Draws the θ-sample pool and scores it (the one big θ-loop; checks the
   /// deadline per sample).
@@ -139,7 +132,7 @@ class SpreadDecreaseEngine {
   VertexId BestUnblocked(double* best_delta = nullptr) const;
 
   /// Estimate of the current expected spread E({root}, G[V\B]) — the mean
-  /// (weighted) sample-region size (Lemma 1).
+  /// sample-region size (Lemma 1).
   double ExpectedSpread() const {
     return spread_raw_ / static_cast<double>(pool_.theta());
   }
@@ -164,12 +157,11 @@ class SpreadDecreaseEngine {
 
   /// Heap bytes held by the engine: the pool (with both masks and its undo
   /// slots), the per-sample subtree size caches and their undo slots, the
-  /// vertex weights, the score vector
-  /// and every per-slot worker's scratch — its sampler's O(n) visitation
-  /// arrays, prune buffers and dominator workspace. TrimScratch drops the
-  /// workers to one fresh set before an engine is cached, so a parked
-  /// engine still holds one O(n) scratch set. Feeds the warm-pool cache's
-  /// byte budget (service/pool_cache.h).
+  /// score vector and every per-slot worker's scratch — its sampler's O(n)
+  /// visitation arrays, prune buffers and dominator workspace. TrimScratch
+  /// drops the workers to one fresh set before an engine is cached, so a
+  /// parked engine still holds one O(n) scratch set. Feeds the warm-pool
+  /// cache's byte budget (service/pool_cache.h).
   uint64_t MemoryUsageBytes() const;
 
   /// Drops the per-slot scratch (sampler arrays, dominator workspaces)
@@ -214,13 +206,10 @@ class SpreadDecreaseEngine {
   uint32_t num_threads_ = 1;
   std::vector<Worker> workers_;  // one per slot; grown lazily, trimmed to 1
 
-  // 0/1 vertex weights by vertex id; empty = all ones.
-  std::vector<uint8_t> weight_;
-
-  // sizes_[i][slot] — (weighted) dominator subtree size of sample i's
-  // local vertex `slot` at the sample's current revision; slot 0 is the
-  // region size. The cached contribution that lets Block() subtract a
-  // sample's old scores without recomputing them.
+  // sizes_[i][slot] — dominator subtree size of sample i's local vertex
+  // `slot` at the sample's current revision; slot 0 is the region size.
+  // The cached contribution that lets Block() subtract a sample's old
+  // scores without recomputing them.
   std::vector<std::vector<VertexId>> sizes_;
   // Undo log beside the pool's: saved_sizes_[i] holds sample i's built
   // sizes_ from its first re-derive after a restore until the next

@@ -102,26 +102,15 @@ uint64_t DominatorWorkspace::MemoryUsageBytes() const {
 }
 
 void DominatorWorkspace::ComputeSubtreeSizesInto(
-    const DominatorTree& tree, std::vector<VertexId>* sizes,
-    std::span<const uint8_t> weight) {
+    const DominatorTree& tree, std::vector<VertexId>* sizes) {
   sizes->assign(tree.idom.size(), 0);
   VBLOCK_DCHECK(!tree.order.empty() && tree.order[0] == tree.root);
   // Reversed, the order finishes every vertex's subtree before folding it
-  // into its idom. One branch per call, not per vertex: the unweighted
-  // loop counts 1s.
-  auto accumulate = [&](auto weight_of) {
-    for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
-      const VertexId v = *it;
-      (*sizes)[v] += weight_of(v);
-      if (v != tree.root) (*sizes)[tree.idom[v]] += (*sizes)[v];
-    }
-  };
-  if (weight.empty()) {
-    accumulate([](VertexId) { return VertexId{1}; });
-  } else {
-    VBLOCK_CHECK_MSG(weight.size() == tree.idom.size(),
-                     "weight vector size must match vertex count");
-    accumulate([&](VertexId v) { return VertexId{weight[v]}; });
+  // into its idom.
+  for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
+    const VertexId v = *it;
+    (*sizes)[v] += 1;
+    if (v != tree.root) (*sizes)[tree.idom[v]] += (*sizes)[v];
   }
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "domtree/flat_graph_view.h"
@@ -56,14 +55,10 @@ class DominatorWorkspace {
                                 DominatorTree* tree);
 
   /// Subtree sizes into `sizes` (resized/overwritten), folded over
-  /// `tree.order` reversed. Same output as ComputeSubtreeSizes. With a
-  /// non-empty `weight` (0/1 per vertex), only vertices of weight 1 are
-  /// counted: the edge-blocking extension gives its auxiliary edge-split
-  /// vertices weight 0 so that only real vertices count toward the spread
-  /// decrease. Needs no scratch.
+  /// `tree.order` reversed. Same output as ComputeSubtreeSizes. Needs no
+  /// scratch.
   static void ComputeSubtreeSizesInto(const DominatorTree& tree,
-                                      std::vector<VertexId>* sizes,
-                                      std::span<const uint8_t> weight = {});
+                                      std::vector<VertexId>* sizes);
 
   /// Heap bytes of the working arrays (grow-only, so this is the high-water
   /// mark of the regions computed so far).

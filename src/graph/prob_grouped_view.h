@@ -150,7 +150,7 @@ class ProbGroupedView {
   }
 
   /// In-edge twin of SampleOutEdges: fn(source, original_pos) per success.
-  /// This is the side that makes RR-sets and triggering-set draws cheap —
+  /// This is the side that makes triggering-set draws cheap —
   /// under WC all of v's in-edges share one class.
   template <typename Fn>
   void SampleInEdges(VertexId v, Rng& rng, Fn&& fn) const {
@@ -205,7 +205,7 @@ class ProbGroupedView {
   /// run that expects only a couple of draws puts the fill's transform
   /// latency (~15 ns: NextBlock + the 4-wide log/multiply/floor) squarely
   /// on the walk's critical path, where the amortized 2.0-coin figure is a
-  /// fiction. Measured: block-filling WC-RR in-runs, which expect
+  /// fiction. Measured: block-filling WC in-runs, which expect
   /// 1 + din·(1/din) = 2 draws regardless of degree, ran at 0.70× the
   /// scalar jump walk. Runs under this bar jump or coin instead.
   static constexpr double kMinExpectedDrawsBatched = 8.0;

@@ -38,7 +38,6 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/prob_grouped_view.h"
-#include "graph/scc.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "graph/vertex_mask.h"
@@ -54,9 +53,6 @@
 #include "cascade/exact_spread.h"
 #include "cascade/ic_model.h"
 #include "cascade/monte_carlo.h"
-#include "cascade/rr_sets.h"
-#include "cascade/statistics.h"
-#include "cascade/timeline.h"
 #include "cascade/triggering.h"
 
 // dominator trees
@@ -76,7 +72,6 @@
 #include "core/batch_solver.h"
 #include "core/betweenness.h"
 #include "core/blocker_result.h"
-#include "core/edge_blocking.h"
 #include "core/evaluator.h"
 #include "core/exact_blocker.h"
 #include "core/greedy.h"

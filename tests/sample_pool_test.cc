@@ -1,9 +1,9 @@
 // Tests for the persistent SamplePool and the incremental
 // SpreadDecreaseEngine built on it: determinism across thread counts and
 // reuse modes, exact agreement with from-scratch Algorithm-2 scoring on the
-// same fixed sample set (also under 0/1 edge-split weights), prune-mode
-// exactness on deterministic graphs, deadline handling inside the θ-loop,
-// and allocation-free steady-state scoring rounds.
+// same fixed sample set, prune-mode exactness on deterministic graphs,
+// deadline handling inside the θ-loop, and allocation-free steady-state
+// scoring rounds.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "cascade/triggering.h"
 #include "common/thread_pool.h"
-#include "core/edge_blocking.h"
 #include "core/greedy.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
@@ -90,15 +89,14 @@ SpreadDecreaseOptions EngineOptions(uint32_t theta, uint64_t seed,
 }
 
 // From-scratch Algorithm-2 scoring over θ samples (`sample_at(i)` returns
-// sample i): one dominator tree per sample, with every vertex's weight (1,
-// or `weights` by vertex id) added to Δ of each vertex on its idom chain
-// below the root — Theorem 6 applied directly, independent of the
-// engine's subtree-size pass. The incremental aggregate must match this
-// exactly (every summand is an integer, normalized as Scores() does).
+// sample i): one dominator tree per sample, with every vertex counted once
+// in Δ of each vertex on its idom chain below the root — Theorem 6 applied
+// directly, independent of the engine's subtree-size pass. The incremental
+// aggregate must match this exactly (every summand is an integer,
+// normalized as Scores() does).
 template <typename SampleAt>
 SpreadDecreaseResult RescoreSamples(uint32_t theta, SampleAt sample_at,
-                                    VertexId num_vertices,
-                                    const std::vector<double>* weights) {
+                                    VertexId num_vertices) {
   SpreadDecreaseResult reference;
   reference.delta.assign(num_vertices, 0.0);
   double total_size = 0;
@@ -106,10 +104,9 @@ SpreadDecreaseResult RescoreSamples(uint32_t theta, SampleAt sample_at,
     const SampledGraph& sample = sample_at(i);
     const DominatorTree tree = ComputeDominatorTree(sample.View(), 0);
     for (VertexId local = 0; local < sample.NumVertices(); ++local) {
-      const double w = weights ? (*weights)[sample.to_parent[local]] : 1.0;
-      total_size += w;
+      total_size += 1.0;
       for (VertexId u = local; u != 0; u = tree.idom[u]) {
-        reference.delta[sample.to_parent[u]] += w;
+        reference.delta[sample.to_parent[u]] += 1.0;
       }
     }
   }
@@ -120,13 +117,12 @@ SpreadDecreaseResult RescoreSamples(uint32_t theta, SampleAt sample_at,
 }
 
 // RescoreSamples over the engine's *current* samples.
-SpreadDecreaseResult RescoreEnginePool(
-    const SpreadDecreaseEngine& engine, VertexId num_vertices,
-    const std::vector<double>* weights = nullptr) {
+SpreadDecreaseResult RescoreEnginePool(const SpreadDecreaseEngine& engine,
+                                       VertexId num_vertices) {
   return RescoreSamples(
       engine.theta(),
       [&](uint32_t i) -> const SampledGraph& { return engine.PoolSample(i); },
-      num_vertices, weights);
+      num_vertices);
 }
 
 void ExpectScoresEqual(const SpreadDecreaseResult& got,
@@ -162,54 +158,6 @@ TEST(SamplePoolEngineTest, IncrementalScoresMatchFromScratchRescoring) {
     ASSERT_TRUE(engine.Unblock(picked[1]));
     ExpectScoresEqual(engine.Scores(),
                       RescoreEnginePool(engine, g.NumVertices()));
-  }
-}
-
-// The edge-blocking engine: 0/1 edge-split weights (auxiliary vertices 0)
-// must keep the incremental aggregate exact through Build, Block and
-// Unblock.
-TEST(SamplePoolEngineTest, WeightedScoresMatchFromScratchRescoring) {
-  const EdgeSplitInstance split =
-      SplitEdges(WithWeightedCascade(GenerateBarabasiAlbert(150, 3, 19)));
-  const VertexId n = split.graph.NumVertices();
-  for (SampleReuse reuse : {SampleReuse::kResample, SampleReuse::kPrune}) {
-    SCOPED_TRACE(reuse == SampleReuse::kPrune ? "prune" : "resample");
-    SpreadDecreaseEngine engine(split.graph, 0, EngineOptions(600, 31, reuse),
-                                /*model=*/nullptr, /*blocked=*/nullptr,
-                                &split.weights);
-    ASSERT_TRUE(engine.Build());
-    {
-      SCOPED_TRACE("build");
-      ExpectScoresEqual(engine.Scores(),
-                        RescoreEnginePool(engine, n, &split.weights));
-    }
-    // Block the best real vertex, then the best edge (auxiliary) twice.
-    std::vector<VertexId> picked = {engine.BestUnblocked()};
-    ASSERT_LT(picked[0], split.first_aux);
-    ASSERT_TRUE(engine.Block(picked[0]));
-    for (int round = 0; round < 2; ++round) {
-      VertexId best = kInvalidVertex;
-      for (VertexId aux = split.first_aux; aux < n; ++aux) {
-        if (engine.blocked().Test(aux)) continue;
-        if (best == kInvalidVertex || engine.Delta(aux) > engine.Delta(best)) {
-          best = aux;
-        }
-      }
-      ASSERT_GT(engine.Delta(best), 0.0);
-      ASSERT_TRUE(engine.Block(best));
-      picked.push_back(best);
-    }
-    {
-      SCOPED_TRACE("block");
-      ExpectScoresEqual(engine.Scores(),
-                        RescoreEnginePool(engine, n, &split.weights));
-    }
-    ASSERT_TRUE(engine.Unblock(picked[1]));
-    {
-      SCOPED_TRACE("unblock");
-      ExpectScoresEqual(engine.Scores(),
-                        RescoreEnginePool(engine, n, &split.weights));
-    }
   }
 }
 
@@ -745,7 +693,7 @@ TEST(SamplePoolEngineTest, RestoreByPutBackMatchesRestoreByRederive) {
       const SpreadDecreaseResult want = RescoreSamples(
           po.theta,
           [&](uint32_t i) -> const SampledGraph& { return mirror.sample(i); },
-          fx.g.NumVertices(), nullptr);
+          fx.g.NumVertices());
       EXPECT_EQ(got.delta, want.delta);
       EXPECT_EQ(got.expected_spread, want.expected_spread);
     };

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "cascade/exact_spread.h"
-#include "core/edge_blocking.h"
 #include "core/spread_decrease.h"
 #include "core/spread_decrease_engine.h"
 #include "gen/generators.h"
@@ -243,16 +242,11 @@ TEST(SpreadDecreaseDigestTest, OutputsMatchPinnedDigests) {
   const Graph wc = WithWeightedCascade(GenerateBarabasiAlbert(400, 3, 5));
   const Graph tr = WithTrivalency(GenerateErdosRenyi(300, 3000, 8), 8);
   const LtTriggeringModel lt(wc);
-  const EdgeSplitInstance split =
-      SplitEdges(WithWeightedCascade(GenerateBarabasiAlbert(120, 2, 3)));
   const Graph small =
       WithUniformProbability(GenerateErdosRenyi(14, 25, 9), 0.3, 1.0, 10);
-  const EdgeSplitInstance tiny = SplitEdges(PaperFigure1Graph());
   const VertexMask wc_mask = MaskOutNeighbours(wc, 0, 4);
   const VertexMask tr_mask = MaskOutNeighbours(tr, 0, 3);
-  const VertexMask split_mask = MaskOutNeighbours(split.graph, 0, 3);
   const VertexMask small_mask = MaskOutNeighbours(small, 0, 1);
-  const VertexMask tiny_mask = MaskOutNeighbours(tiny.graph, testing::kV1, 1);
   const SamplerKind kSkip = SamplerKind::kGeometricSkip;
   const SamplerKind kCoin = SamplerKind::kPerEdgeCoin;
   auto expect_digest = [](const char* name, const SpreadDecreaseResult& r,
@@ -288,31 +282,11 @@ TEST(SpreadDecreaseDigestTest, OutputsMatchPinnedDigests) {
       "lt_coin_mask_t4",
       ComputeSpreadDecreaseTriggering(wc, lt, 0, Opts(kCoin, 4), &wc_mask),
       0xaadc188cbe6440e6ULL);
-  expect_digest("split_skip_t1",
-                ComputeSpreadDecreaseWeighted(split.graph, 0, split.weights,
-                                              Opts(kSkip, 1)),
-                0x02648a5bb100dd3dULL);
-  expect_digest("split_coin_t4",
-                ComputeSpreadDecreaseWeighted(split.graph, 0, split.weights,
-                                              Opts(kCoin, 4)),
-                0x8db8089d5e5ef8dcULL);
-  expect_digest("split_skip_mask_t4",
-                ComputeSpreadDecreaseWeighted(split.graph, 0, split.weights,
-                                              Opts(kSkip, 4), &split_mask),
-                0x9aecae6d438a0240ULL);
   expect_digest("exact", *ComputeSpreadDecreaseExact(small, 0),
                 0xfcfc039e2606ef4fULL);
   expect_digest("exact_mask",
                 *ComputeSpreadDecreaseExact(small, 0, &small_mask),
                 0x0adfb936cb41bb2eULL);
-  expect_digest("exact_weighted",
-                *ComputeSpreadDecreaseExactWeighted(tiny.graph, testing::kV1,
-                                                    tiny.weights),
-                0x5536c5f289c581b7ULL);
-  expect_digest("exact_weighted_mask",
-                *ComputeSpreadDecreaseExactWeighted(tiny.graph, testing::kV1,
-                                                    tiny.weights, &tiny_mask),
-                0x9d96b235ae577a5dULL);
 }
 
 // Theorem 5 convergence: the estimation error shrinks as θ grows.
